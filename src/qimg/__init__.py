@@ -10,7 +10,6 @@ from .compression import (
     build_block_codebook,
     build_triangular_codebook,
     compress,
-    custom_codebook,
     mse,
     psnr,
     read_codebook,
@@ -32,8 +31,6 @@ from .grid import GridImage
 from .morphology import (
     MorphConfig,
     StructuringElement,
-    binary_brute_dilate,
-    binary_brute_erode,
     closing,
     dilate,
     erode,

@@ -8,37 +8,30 @@ files, algebra domain violations), 1 on I/O failures.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import compression, morphology, pgm, transform
 from .errors import DomainError, ParseError, ShapeError
 from .quantale import FAMILIES, quantale
 
-__all__ = ["main", "build_parser", "CliConfig"]
+__all__ = ["main", "build_parser"]
 
 TOLERANCE_ENV = "QIMG_TOLERANCE"
 DEFAULT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @classmethod
-    def from_env(cls) -> "CliConfig":
-        raw = os.environ.get(TOLERANCE_ENV)
-        if raw is None:
-            return cls()
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValueError(f"{TOLERANCE_ENV}={raw!r} is not a number") from None
-        if tol < 0.0:
-            raise ValueError(f"{TOLERANCE_ENV} must be non-negative")
-        return cls(tolerance=tol)
+def _tolerance() -> float:
+    raw = os.environ.get(TOLERANCE_ENV)
+    if raw is None:
+        return DEFAULT_TOLERANCE
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise ValueError(f"{TOLERANCE_ENV}={raw!r} is not a number") from None
+    if tol < 0.0:
+        raise ValueError(f"{TOLERANCE_ENV} must be non-negative")
+    return tol
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -121,15 +114,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    config = CliConfig.from_env()
+    tol = _tolerance()
     a = pgm.read_pgm(args.image_a)
     b = pgm.read_pgm(args.image_b)
     err = compression.mse(a, b)
-    if err <= config.tolerance:
-        err = 0.0
-    ratio = math.inf if err == 0.0 else 10.0 * math.log10(1.0 / err)
-    ratio_text = "inf" if math.isinf(ratio) else f"{ratio:.6f}"
-    print(f"mse {err:.6f}, psnr {ratio_text}")
+    if err <= tol:
+        print("mse 0.000000, psnr inf")
+    else:
+        print(f"mse {err:.6f}, psnr {compression.psnr(a, b):.6f}")
     return 0
 
 
@@ -188,7 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ShapeError, ParseError, ValueError, KeyError) as exc:
+    except (DomainError, ShapeError, ParseError, ValueError) as exc:
         print(f"qimg: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
-from .free_module import IndexSet
+from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale
 from .transform import Kernel, forward, inverse, read_kernel, write_kernel
@@ -24,7 +24,6 @@ __all__ = [
     "Codebook",
     "build_triangular_codebook",
     "build_block_codebook",
-    "custom_codebook",
     "compress",
     "reconstruct",
     "mse",
@@ -33,6 +32,7 @@ __all__ = [
     "write_codebook",
 ]
 
+# "custom" labels hand-written codebook files that no builder generated
 BUILDERS = ("triangular", "block", "custom")
 
 
@@ -143,16 +143,6 @@ def build_block_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codeboo
     return Codebook(kernel, "block")
 
 
-def custom_codebook(
-    q: Quantale, values, image_shape: tuple[int, int], code_shape: tuple[int, int]
-) -> Codebook:
-    """Wrap caller-supplied kernel entries as a codebook."""
-    m, n = image_shape
-    a, b = code_shape
-    kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values)
-    return Codebook(kernel, "custom")
-
-
 def compress(cb: Codebook, img: GridImage) -> GridImage:
     """Forward transform of the image through the codebook kernel."""
     if img.shape != cb.image_shape:
@@ -208,5 +198,6 @@ def read_codebook(path) -> Codebook:
         raise ParseError(f"{path}: malformed builder parameters {params[1:]}") from None
     if m * n != kernel.domain.size or a * b != kernel.codomain.size:
         raise ParseError(f"{path}: builder shapes disagree with the kernel sizes")
-    shaped = Kernel(kernel.q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), kernel.values)
+    domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
+    shaped = _unchecked(Kernel, kernel.q, domain, codomain, kernel.values)
     return Codebook(shaped, name)

@@ -7,13 +7,13 @@ scalar action (with its residuum) are pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .quantale import Quantale
+from .errors import ShapeError
+from .quantale import Quantale, require_unit
 
 __all__ = [
     "IndexSet",
@@ -43,16 +43,14 @@ class IndexSet:
                 raise ShapeError(f"shape {self.shape} does not cover size {self.size}")
 
 
-def _frozen_unit_array(values, expected_len: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if expected_len is not None and arr.shape[0] != expected_len:
-        raise ShapeError(f"expected {expected_len} values, got {arr.shape[0]}")
-    if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr))):
-        raise DomainError("module element values must lie in [0,1]")
-    arr.setflags(write=False)
-    return arr
+def _unchecked(cls, *values):
+    """Build cls from known-valid field values, skipping __post_init__; arrays go read-only."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +61,12 @@ class ModuleElement:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_unit_array(self.values, self.index.size))
+        arr = np.array(self.values, dtype=float).reshape(-1)
+        if arr.shape[0] != self.index.size:
+            raise ShapeError(f"expected {self.index.size} values, got {arr.shape[0]}")
+        require_unit(arr, "module element values")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def __le__(self, other: "ModuleElement") -> bool:
         _require_same_index(self, other)
@@ -108,14 +111,16 @@ def join_elems(fs: Sequence[ModuleElement]) -> ModuleElement:
     for g in fs[1:]:
         _require_same_index(first, g)
     stacked = np.stack([f.values for f in fs])
-    return ModuleElement(first.index, stacked.max(axis=0))
+    return _unchecked(ModuleElement, first.index, stacked.max(axis=0))
 
 
 def scalar_mul(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """The scalar action (a * f)(x) = mul(a, f(x))."""
-    return ModuleElement(f.index, q.mul(a, f.values))
+    q.check(a)
+    return _unchecked(ModuleElement, f.index, q._mul(np.asarray(a, float), f.values))
 
 
 def scalar_residuum(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """Residuum of the scalar action: the largest g with a * g <= f."""
-    return ModuleElement(f.index, q.residuum(a, f.values))
+    q.check(a)
+    return _unchecked(ModuleElement, f.index, q._residuum(np.asarray(a, float), f.values))

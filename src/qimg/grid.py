@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .free_module import IndexSet, ModuleElement
+from .errors import ShapeError
+from .free_module import IndexSet, ModuleElement, _unchecked
+from .quantale import require_unit
 
 __all__ = ["GridImage"]
 
@@ -26,8 +27,7 @@ class GridImage:
         arr = np.array(self.pixels, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError("an image needs a non-empty 2-D pixel array")
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
-            raise DomainError("pixel values must lie in [0,1]")
+        require_unit(arr, "pixel values")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -48,13 +48,15 @@ class GridImage:
         return IndexSet(self.rows * self.cols, self.shape)
 
     def element(self) -> ModuleElement:
-        return ModuleElement(self.index, self.pixels.ravel())
+        """The module-element view; shares the read-only pixel buffer."""
+        return _unchecked(ModuleElement, self.index, self.pixels.ravel())
 
     @classmethod
     def from_element(cls, elem: ModuleElement) -> "GridImage":
+        """The raster view of a shaped element; shares its read-only buffer."""
         if elem.index.shape is None:
             raise ShapeError("module element carries no 2-D shape")
-        return cls(elem.values.reshape(elem.index.shape))
+        return _unchecked(cls, elem.values.reshape(elem.index.shape))
 
     def is_binary(self) -> bool:
         return bool(np.all((self.pixels == 0.0) | (self.pixels == 1.0)))

@@ -18,9 +18,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .free_module import IndexSet
+from .free_module import IndexSet, _unchecked
 from .grid import GridImage
-from .quantale import BOOLEAN, Quantale
+from .quantale import BOOLEAN, Quantale, require_unit
 from .transform import Kernel
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "opening",
     "closing",
     "toeplitz_kernel",
-    "binary_brute_dilate",
-    "binary_brute_erode",
     "preset",
     "PRESETS",
     "read_sel",
@@ -56,12 +54,10 @@ class StructuringElement:
             dy, dx = offset
             if int(dy) != dy or int(dx) != dx:
                 raise ValueError(f"offset {offset!r} is not an integer pair")
-            v = float(value)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"weight {value!r} at {offset} outside [0,1]")
-            items[(int(dy), int(dx))] = v
+            items[(int(dy), int(dx))] = float(value)
         if not items:
             raise ValueError("structuring element needs at least one offset")
+        require_unit(np.array(list(items.values())), "structuring element weights")
         object.__setattr__(self, "entries", MappingProxyType(items))
 
     def is_binary(self) -> bool:
@@ -115,9 +111,9 @@ def dilate(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImag
     _check_binary(se, img, cfg.q)
     out = np.zeros(img.shape)
     for (dy, dx), v in se.items():
-        contrib = cfg.q.mul(v, _shifted(img.pixels, dy, dx, cfg.padding))
+        contrib = cfg.q._mul(v, _shifted(img.pixels, dy, dx, cfg.padding))
         np.maximum(out, contrib, out=out)
-    return GridImage(out)
+    return _unchecked(GridImage, out)
 
 
 def erode(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
@@ -131,9 +127,9 @@ def erode(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage
     for (dy, dx), v in se.items():
         if v == 0.0:
             continue
-        contrib = cfg.q.residuum(v, _shifted(img.pixels, -dy, -dx, cfg.padding))
+        contrib = cfg.q._residuum(v, _shifted(img.pixels, -dy, -dx, cfg.padding))
         np.minimum(out, contrib, out=out)
-    return GridImage(out)
+    return _unchecked(GridImage, out)
 
 
 def opening(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
@@ -164,36 +160,6 @@ def toeplitz_kernel(se: StructuringElement, rows: int, cols: int, cfg: MorphConf
             values[x, y] = v
     index = IndexSet(size, (rows, cols))
     return Kernel(cfg.q, index, index, values)
-
-
-def binary_brute_dilate(se: StructuringElement, img: GridImage) -> GridImage:
-    """Literal Minkowski dilation: union of the element translated to each point."""
-    points, support = _as_sets(se, img)
-    hits = {(r + dy, c + dx) for (r, c) in points for (dy, dx) in support}
-    out = np.zeros(img.shape)
-    for r, c in hits:
-        if 0 <= r < img.rows and 0 <= c < img.cols:
-            out[r, c] = 1.0
-    return GridImage(out)
-
-
-def binary_brute_erode(se: StructuringElement, img: GridImage) -> GridImage:
-    """Literal set erosion: points whose translated element stays inside the set."""
-    points, support = _as_sets(se, img)
-    out = np.zeros(img.shape)
-    for r in range(img.rows):
-        for c in range(img.cols):
-            if all((r + dy, c + dx) in points for (dy, dx) in support):
-                out[r, c] = 1.0
-    return GridImage(out)
-
-
-def _as_sets(se: StructuringElement, img: GridImage):
-    if not (se.is_binary() and img.is_binary()):
-        raise DomainError("set-morphology oracles need binary inputs")
-    points = {(r, c) for r, c in zip(*np.nonzero(img.pixels))}
-    support = {d for d, v in se.items() if v == 1.0}
-    return points, support
 
 
 # --- presets and the QSEL text format ---------------------------------------
@@ -254,9 +220,10 @@ def read_sel(path) -> StructuringElement:
             dy, dx, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"{path}: line {i} holds a malformed entry") from None
-        if not 0.0 <= v <= 1.0:
-            raise ParseError(f"{path}: line {i} has a value outside [0,1]")
         entries[(dy, dx)] = v
     if not entries:
         raise ParseError(f"{path}: no entries")
-    return StructuringElement(entries)
+    try:
+        return StructuringElement(entries)
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from None

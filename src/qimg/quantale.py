@@ -6,6 +6,9 @@ provided (goedel, product, lukasiewicz) plus the Boolean quantale on the
 two-element carrier {0, 1}.  All operations broadcast elementwise over
 numpy arrays, so the same code path serves scalars, module elements and
 whole kernels.
+
+The public ``mul`` and ``residuum`` check their operands; package code on
+already-validated kernels, elements and images calls ``_mul``/``_residuum``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ BOTTOM = 0.0
 UNIT = 1.0  # the monoid unit e; also the top of the lattice
 
 
+def require_unit(arr: np.ndarray, what: str) -> None:
+    """Raise DomainError unless every entry lies in [0,1]; min/max propagate NaN, so it fails."""
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise DomainError(f"{what} must lie in [0,1]")
+
+
 def _result(a):
     # collapse 0-d arrays back to plain scalars
     if isinstance(a, np.ndarray) and a.ndim == 0:
@@ -46,9 +55,7 @@ class Quantale:
 
     def check(self, x: Values) -> None:
         """Reject values outside the carrier."""
-        arr = np.asarray(x, dtype=float)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr))):
-            raise DomainError(f"value outside [0,1] for the {self.family} quantale")
+        require_unit(np.asarray(x, dtype=float), f"values of the {self.family} quantale")
 
     def mul(self, x: Values, y: Values) -> Values:
         """The t-norm x * y, elementwise."""
@@ -61,22 +68,6 @@ class Quantale:
         self.check(x)
         self.check(y)
         return _result(self._residuum(np.asarray(x, float), np.asarray(y, float)))
-
-    def residuum_oracle(self, x: float, y: float, n: int) -> float:
-        """Evaluate the defining supremum on an n-point grid.
-
-        Independent test oracle: returns max{k/n : mul(k/n, x) <= y}.  It
-        under-approximates the true supremum by at most 1/n and is never
-        called by production code.
-        """
-        if n < 1:
-            raise ValueError("oracle grid needs n >= 1")
-        self.check(x)
-        self.check(y)
-        zs = self._oracle_grid(n)
-        ok = self._mul(zs, np.asarray(x, float)) <= y
-        # the t-norm is monotone in z, so the admissible set is a prefix
-        return float(zs[ok].max())
 
     def join(self, values: Iterable[float]) -> float:
         """Finite join; empty join is the bottom 0."""
@@ -93,9 +84,6 @@ class Quantale:
             return UNIT
         self.check(arr)
         return float(arr.min())
-
-    def _oracle_grid(self, n: int) -> np.ndarray:
-        return np.arange(n + 1, dtype=float) / n
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -164,10 +152,6 @@ class _Boolean(Quantale):
 
     def _residuum(self, x, y):
         return np.where(x <= y, 1.0, 0.0)
-
-    def _oracle_grid(self, n):
-        # the carrier has two elements; the sup ranges over them only
-        return np.array([0.0, 1.0])
 
 
 GOEDEL = _Goedel()

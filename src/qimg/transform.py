@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
-from .free_module import IndexSet, ModuleElement, delta
+from .errors import DomainError, ParseError, ShapeError
+from .free_module import IndexSet, ModuleElement, _unchecked, delta
 from .quantale import Quantale, quantale
 
 __all__ = [
@@ -66,18 +66,12 @@ class Kernel:
 
 
 class KernelLevel(enum.Enum):
-    """Tags of the kernel hierarchy.
-
-    ORTHOGONAL is part of the tag vocabulary but never returned as a level
-    by classify: orthogonality is reported through the independent flag,
-    and only lifts the level when a normal witness makes it orthonormal.
-    """
+    """Tags of the kernel hierarchy."""
 
     GENERAL = "general"
     CODER = "coder"
     NORMAL = "normal"
     STRONG = "strong"
-    ORTHOGONAL = "orthogonal"
     ORTHONORMAL = "orthonormal"
 
 
@@ -96,15 +90,15 @@ def _require(cond: bool, message: str) -> None:
 def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
     """Apply the transform with kernel p to f in Q^X."""
     _require(f.index == p.domain, f"element over {f.index} fed to kernel domain {p.domain}")
-    out = p.q.mul(f.values[:, None], p.values).max(axis=0)
-    return ModuleElement(p.codomain, out)
+    out = p.q._mul(f.values[:, None], p.values).max(axis=0)
+    return _unchecked(ModuleElement, p.codomain, out)
 
 
 def inverse(p: Kernel, g: ModuleElement) -> ModuleElement:
     """Apply the inverse (residual) transform with kernel p to g in Q^Y."""
     _require(g.index == p.codomain, f"element over {g.index} fed to kernel codomain {p.codomain}")
-    out = p.q.residuum(p.values, g.values[None, :]).min(axis=1)
-    return ModuleElement(p.domain, out)
+    out = p.q._residuum(p.values, g.values[None, :]).min(axis=1)
+    return _unchecked(ModuleElement, p.domain, out)
 
 
 def identity_kernel(q: Quantale, index: IndexSet) -> Kernel:
@@ -115,8 +109,8 @@ def compose(p1: Kernel, p2: Kernel) -> Kernel:
     """Kernel of the composite transform: forward(compose(p1,p2), f) = forward(p2, forward(p1, f))."""
     _require(p1.codomain == p2.domain, "inner index sets differ")
     _require(p1.q == p2.q, "kernels live over different quantales")
-    vals = p1.q.mul(p1.values[:, :, None], p2.values[None, :, :]).max(axis=1)
-    return Kernel(p1.q, p1.domain, p2.codomain, vals)
+    vals = p1.q._mul(p1.values[:, :, None], p2.values[None, :, :]).max(axis=1)
+    return _unchecked(Kernel, p1.q, p1.domain, p2.codomain, vals)
 
 
 def kernel_of(
@@ -147,7 +141,7 @@ def is_orthogonal(p: Kernel) -> bool:
         nz = row[row != 0.0]
         if nz.size <= 1:
             continue
-        prods = p.q.mul(nz[:, None], nz[None, :])
+        prods = p.q._mul(nz[:, None], nz[None, :])
         prods = prods[~np.eye(nz.size, dtype=bool)]
         if np.any(prods != 0.0):
             return False
@@ -266,11 +260,11 @@ def read_kernel(path) -> tuple[Kernel, list[str]]:
         if len(parts) != ny:
             raise ParseError(f"{path}: row {i} has {len(parts)} values, expected {ny}")
         try:
-            row = [float(tok) for tok in parts]
+            rows.append([float(tok) for tok in parts])
         except ValueError:
             raise ParseError(f"{path}: row {i} holds a non-numeric token") from None
-        if any(v < 0.0 or v > 1.0 for v in row):
-            raise ParseError(f"{path}: row {i} has a value outside [0,1]")
-        rows.append(row)
-    kernel = Kernel(q, IndexSet(nx), IndexSet(ny), np.array(rows))
+    try:
+        kernel = Kernel(q, IndexSet(nx), IndexSet(ny), np.array(rows))
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return kernel, comments

@@ -11,6 +11,9 @@ from qimg import (
     GOEDEL,
     LUKASIEWICZ,
     PRODUCT,
+    Codebook,
+    DomainError,
+    GridImage,
     IndexSet,
     Kernel,
     ModuleElement,
@@ -126,3 +129,57 @@ def shift_pixels(pixels: np.ndarray, hy: int, hx: int) -> np.ndarray:
     cs0, cs1 = max(0, hx), min(cols, cols + hx)
     out[rs0:rs1, cs0:cs1] = pixels[rs0 - hy : rs1 - hy, cs0 - hx : cs1 - hx]
     return out
+
+
+def residuum_oracle(q, x: float, y: float, n: int) -> float:
+    """Evaluate the residuum's defining supremum on an n-point grid.
+
+    Returns max{k/n : mul(k/n, x) <= y}, which under-approximates the true
+    supremum by at most 1/n.  The Boolean carrier has two elements, so
+    there the sup ranges over them only.
+    """
+    if n < 1:
+        raise ValueError("oracle grid needs n >= 1")
+    q.check(y)
+    zs = np.array([0.0, 1.0]) if q is BOOLEAN else np.arange(n + 1, dtype=float) / n
+    ok = q.mul(zs, x) <= y
+    # the t-norm is monotone in z, so the admissible set is a prefix
+    return float(zs[ok].max())
+
+
+def binary_brute_dilate(se, img: GridImage) -> GridImage:
+    """Literal Minkowski dilation: union of the element translated to each point."""
+    points, support = _as_sets(se, img)
+    hits = {(r + dy, c + dx) for (r, c) in points for (dy, dx) in support}
+    out = np.zeros(img.shape)
+    for r, c in hits:
+        if 0 <= r < img.rows and 0 <= c < img.cols:
+            out[r, c] = 1.0
+    return GridImage(out)
+
+
+def binary_brute_erode(se, img: GridImage) -> GridImage:
+    """Literal set erosion: points whose translated element stays inside the set."""
+    points, support = _as_sets(se, img)
+    out = np.zeros(img.shape)
+    for r in range(img.rows):
+        for c in range(img.cols):
+            if all((r + dy, c + dx) in points for (dy, dx) in support):
+                out[r, c] = 1.0
+    return GridImage(out)
+
+
+def _as_sets(se, img: GridImage):
+    if not (se.is_binary() and img.is_binary()):
+        raise DomainError("set-morphology oracles need binary inputs")
+    points = {(r, c) for r, c in zip(*np.nonzero(img.pixels))}
+    support = {d for d, v in se.items() if v == 1.0}
+    return points, support
+
+
+def custom_codebook(q, values, image_shape, code_shape) -> Codebook:
+    """Wrap caller-supplied kernel entries as a codebook."""
+    m, n = image_shape
+    a, b = code_shape
+    kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values)
+    return Codebook(kernel, "custom")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimg import GridImage, read_codebook, read_pgm, write_pgm
+from qimg import GridImage, ParseError, cli, read_codebook, read_kernel, read_pgm, write_pgm
 from qimg.cli import main
 
 SAMPLE = Path(__file__).parent / "data" / "sample64.pgm"
@@ -152,3 +152,21 @@ def test_quantale_override_revalidates(tmp_path, grey_image):
 def test_bundled_sample_compresses():
     img = read_pgm(SAMPLE)
     assert img.shape == (64, 64)
+
+
+def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "nan.qk"
+    path.write_text("QKERNEL 1\ngoedel 1 1\nnan\n")
+    with pytest.raises(ParseError):
+        read_kernel(path)
+    assert main(["classify", "--kernel", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    with pytest.raises(KeyError):
+        main(["classify", "--kernel", str(tmp_path / "k.qk")])

@@ -19,14 +19,13 @@ from qimg import (
     build_triangular_codebook,
     classify,
     compress,
-    custom_codebook,
     mse,
     psnr,
     read_codebook,
     reconstruct,
     write_codebook,
 )
-from support import REAL_FAMILIES, close, leq
+from support import REAL_FAMILIES, close, custom_codebook, leq
 
 
 def random_image(rng, shape):

@@ -19,7 +19,7 @@ from qimg import (
     scalar_mul,
     scalar_residuum,
 )
-from support import REAL_FAMILIES, close
+from support import REAL_FAMILIES, close, residuum_oracle
 
 N = 6
 IDX = IndexSet(N)
@@ -105,7 +105,7 @@ def test_scalar_residuum_examples():
     assert np.array_equal(out.values, [0.3, 1.0])
     # agree with the grid sup oracle pointwise
     for v, got in zip(f.values, out.values):
-        assert abs(GOEDEL.residuum_oracle(0.6, v, 10_000) - got) <= 1e-4 + 1e-12
+        assert abs(residuum_oracle(GOEDEL, 0.6, v, 10_000) - got) <= 1e-4 + 1e-12
     g = constant(IDX, 0.25)
     assert np.array_equal(scalar_residuum(GOEDEL, 1.0, g).values, g.values)
     assert np.array_equal(scalar_residuum(GOEDEL, 0.0, g).values, np.ones(N))

@@ -12,8 +12,6 @@ from qimg import (
     MorphConfig,
     ParseError,
     StructuringElement,
-    binary_brute_dilate,
-    binary_brute_erode,
     closing,
     dilate,
     erode,
@@ -26,7 +24,15 @@ from qimg import (
     toeplitz_kernel,
     write_sel,
 )
-from support import ALL_FAMILIES, REAL_FAMILIES, close, leq, shift_pixels
+from support import (
+    ALL_FAMILIES,
+    REAL_FAMILIES,
+    binary_brute_dilate,
+    binary_brute_erode,
+    close,
+    leq,
+    shift_pixels,
+)
 
 ORIGIN = StructuringElement({(0, 0): 1.0})
 

@@ -35,6 +35,7 @@ from support import (
     random_element,
     random_kernel,
     random_strong_kernel,
+    residuum_oracle,
     witness_satisfies,
 )
 
@@ -56,8 +57,8 @@ def test_inverse_hand_example():
     out = inverse(hand_kernel(), g)
     assert np.array_equal(out.values, [0.5, 1.0])
     # pointwise agreement with the sup oracle for the residua involved
-    assert abs(GOEDEL.residuum_oracle(1.0, 0.5, 10_000) - 0.5) <= 1e-4
-    assert abs(GOEDEL.residuum_oracle(0.5, 0.5, 10_000) - 1.0) <= 1e-4
+    assert abs(residuum_oracle(GOEDEL, 1.0, 0.5, 10_000) - 0.5) <= 1e-4
+    assert abs(residuum_oracle(GOEDEL, 0.5, 0.5, 10_000) - 1.0) <= 1e-4
 
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
