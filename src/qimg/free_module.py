@@ -72,10 +72,6 @@ class ModuleElement:
         _require_same_index(self, other)
         return bool(np.all(self.values <= other.values))
 
-    def eq_within(self, other: "ModuleElement", tol: float = 1e-12) -> bool:
-        _require_same_index(self, other)
-        return bool(np.all(np.abs(self.values - other.values) <= tol))
-
     def __repr__(self) -> str:
         return f"ModuleElement({self.index}, {np.array2string(self.values, precision=4)})"
 

@@ -61,11 +61,6 @@ class GridImage:
     def is_binary(self) -> bool:
         return bool(np.all((self.pixels == 0.0) | (self.pixels == 1.0)))
 
-    def eq_within(self, other: "GridImage", tol: float = 1e-12) -> bool:
-        if self.shape != other.shape:
-            raise ShapeError(f"images shaped {self.shape} and {other.shape}")
-        return bool(np.all(np.abs(self.pixels - other.pixels) <= tol))
-
     def __le__(self, other: "GridImage") -> bool:
         if self.shape != other.shape:
             raise ShapeError(f"images shaped {self.shape} and {other.shape}")

@@ -3,10 +3,11 @@
 A kernel p over X x Y induces the forward operator
 ``forward(p, f)(y) = max_x mul(f(x), p(x, y))`` and its adjoint
 ``inverse(p, g)(x) = min_y residuum(p(x, y), g(y))``.  The module also
-classifies kernels along the coder hierarchy (general < coder < normal <
-strong, with orthogonality tracked separately and orthonormal at the top)
-and extracts the kernel of an arbitrary join-preserving map by probing it
-with basis elements.
+classifies kernels along the coder hierarchy (general < normal < strong,
+with orthogonality tracked separately and orthonormal at the top) and
+extracts the kernel of an arbitrary join-preserving map by probing it
+with basis elements.  The paper's "coder" level is absent: the unit
+e = 1 is also the top, so its clause p(eps(y), y) >= e is the normal one.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class KernelLevel(enum.Enum):
     """Tags of the kernel hierarchy."""
 
     GENERAL = "general"
-    CODER = "coder"
     NORMAL = "normal"
     STRONG = "strong"
     ORTHONORMAL = "orthonormal"
@@ -78,7 +78,7 @@ class KernelLevel(enum.Enum):
 @dataclass(frozen=True)
 class KernelClass:
     level: KernelLevel
-    epsilon: tuple[int, ...] | None  # epsilon[y] = x, injective, when level >= CODER
+    epsilon: tuple[int, ...] | None  # epsilon[y] = x, injective, when level >= NORMAL
     orthogonal: bool
 
 
@@ -148,23 +148,43 @@ def is_orthogonal(p: Kernel) -> bool:
     return True
 
 
-def _augment(y: int, adj: Sequence[Sequence[int]], match_x: dict[int, int], seen: set[int]) -> bool:
-    # augmenting-path step of the maximum bipartite matching
-    for x in adj[y]:
-        if x in seen:
+def _augment(root: int, adj: Sequence[Sequence[int]], match_x: dict[int, int]) -> bool:
+    """Extend the matching by one depth-first augmenting path from column root.
+
+    Iterative: stack[i] is a column with the rest of its candidate rows,
+    path[i] the row it is trying.  Rows are tried in list order and each
+    row at most once per search.
+    """
+    seen: set[int] = set()
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []
+    while stack:
+        x = next((x for x in stack[-1][1] if x not in seen), None)
+        if x is None:
+            stack.pop()
+            if path:
+                path.pop()
             continue
         seen.add(x)
-        if x not in match_x or _augment(match_x[x], adj, match_x, seen):
-            match_x[x] = y
+        path.append(x)
+        if x not in match_x:
+            # flip the path: every column on the stack takes the row it tried
+            for (y, _), px in zip(stack, path):
+                match_x[px] = y
             return True
+        stack.append((match_x[x], iter(adj[match_x[x]])))
     return False
 
 
-def _perfect_matching(adj: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """Match every y to a distinct x from its candidate list, or report failure."""
+def _normal_witness(vals: np.ndarray) -> tuple[int, ...] | None:
+    """Match every column to a distinct row holding 1 there, or report failure."""
+    adj: list[list[int]] = [[] for _ in range(vals.shape[1])]
+    xs, ys = np.nonzero(vals == 1.0)  # row-major, so each list ascends in x
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        adj[y].append(x)
     match_x: dict[int, int] = {}
     for y in range(len(adj)):
-        if not _augment(y, adj, match_x, set()):
+        if not _augment(y, adj, match_x):
             return None
     eps = [0] * len(adj)
     for x, y in match_x.items():
@@ -172,36 +192,37 @@ def _perfect_matching(adj: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     return tuple(eps)
 
 
+def _strong_witness(vals: np.ndarray) -> tuple[int, ...] | None:
+    """Read a strong injection off the rows, or None if some column has none.
+
+    A strong row is 1 at exactly one column and 0 elsewhere, so each row
+    serves one column only and no search is needed: column y takes the
+    first strong row whose unit sits at y.
+    """
+    nonzero = vals != 0.0  # argmax over bools is far cheaper than over floats
+    strong = (np.count_nonzero(nonzero, axis=1) == 1) & (vals.max(axis=1) == 1.0)
+    rows = np.flatnonzero(strong)
+    cols, first = np.unique(nonzero.argmax(axis=1)[rows], return_index=True)
+    if cols.size != vals.shape[1]:
+        return None
+    return tuple(rows[first].tolist())
+
+
 def classify(p: Kernel) -> KernelClass:
     """Place p in the kernel hierarchy and exhibit a witnessing injection.
 
-    Candidate rows per codomain index follow the defining clauses with
-    exact comparisons against 1.0 and 0.0; an injection exists iff the
-    candidate bipartite graph has a matching covering Y.
+    The defining clauses compare exactly against 1.0 and 0.0.  Strong
+    witnesses are read off the rows; a normal injection exists iff the
+    unit entries hold a matching covering Y.
     """
-    vals = p.values
-    ny = p.codomain.size
-    unit = vals >= 1.0  # entries never exceed 1, so this is equality with e
-    nonzero_per_row = (vals != 0.0).sum(axis=1)
-
-    coder_adj = [[int(x) for x in np.nonzero(unit[:, y])[0]] for y in range(ny)]
-    normal_adj = [[int(x) for x in np.nonzero(vals[:, y] == 1.0)[0]] for y in range(ny)]
-    # a strong row is unit at y and bottom everywhere else
-    strong_rows = unit & (nonzero_per_row == 1)[:, None]
-    strong_adj = [[int(x) for x in np.nonzero(strong_rows[:, y])[0]] for y in range(ny)]
-
     orthogonal = is_orthogonal(p)
-
-    eps = _perfect_matching(strong_adj)
+    eps = _strong_witness(p.values)
     if eps is not None:
         level = KernelLevel.ORTHONORMAL if orthogonal else KernelLevel.STRONG
         return KernelClass(level, eps, orthogonal)
-    eps = _perfect_matching(normal_adj)
+    eps = _normal_witness(p.values)
     if eps is not None:
         return KernelClass(KernelLevel.NORMAL, eps, orthogonal)
-    eps = _perfect_matching(coder_adj)
-    if eps is not None:
-        return KernelClass(KernelLevel.CODER, eps, orthogonal)
     return KernelClass(KernelLevel.GENERAL, None, orthogonal)
 
 

@@ -64,6 +64,18 @@ def random_strong_kernel(rng, q, nx: int, ny: int):
     return Kernel(q, IndexSet(nx), IndexSet(ny), vals), tuple(int(x) for x in eps)
 
 
+def chain_kernel(q, n: int) -> Kernel:
+    """A normal, not strong, n x n kernel found by one n-step augmenting path.
+
+    Column y < n-1 has units at rows y and y+1, the last column only at
+    row 0; the witness is y -> y+1, n-1 -> 0.
+    """
+    vals = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    vals[idx, idx] = vals[idx + 1, idx] = vals[0, n - 1] = 1.0
+    return Kernel(q, IndexSet(n), IndexSet(n), vals)
+
+
 def classify_bruteforce(p: Kernel):
     """Exhaustive-injection classification oracle for small kernels.
 

@@ -98,19 +98,6 @@ def test_metrics_output_format(tmp_path, grey_image, capsys):
     assert line.startswith("mse 0.") and "psnr" in line
 
 
-def test_metrics_tolerance_env(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    write_pgm(a, GridImage(np.zeros((4, 4))))
-    px = np.zeros((4, 4))
-    px[0, 0] = 1.0
-    write_pgm(b, GridImage(px))
-    monkeypatch.setenv("QIMG_TOLERANCE", "0.9")
-    assert main(["metrics", str(a), str(b)]) == 0
-    assert capsys.readouterr().out.strip() == "mse 0.000000, psnr inf"
-    monkeypatch.setenv("QIMG_TOLERANCE", "not-a-number")
-    assert main(["metrics", str(a), str(b)]) == 2
-
-
 def test_validation_failures_exit_2(tmp_path, grey_image, capsys):
     cb = tmp_path / "cb.qk"
     # boolean codebooks are rejected: entries would leave {0,1}

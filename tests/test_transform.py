@@ -29,6 +29,7 @@ from qimg import (
 )
 from support import (
     ALL_FAMILIES,
+    chain_kernel,
     classify_bruteforce,
     close,
     leq,
@@ -234,17 +235,28 @@ def test_coder_needs_a_system_of_distinct_representatives():
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
 def test_classify_matches_exhaustive_oracle(q):
     rng = np.random.default_rng(27)
-    palette = (0.0, 1.0) if q is BOOLEAN else (0.0, 0.3, 0.6, 1.0)
-    for _ in range(120):
-        ny = int(rng.integers(1, 5))
-        nx = int(rng.integers(ny, 7))
-        p = random_kernel(rng, q, nx, ny, palette=palette)
-        got = classify(p)
-        want_level, want_orth = classify_bruteforce(p)
-        assert got.level.value == want_level
-        assert got.orthogonal == want_orth
-        if got.epsilon is not None:
-            assert witness_satisfies(p, got.epsilon, got.level.value)
+    palettes = [(0.0, 1.0)] if q is BOOLEAN else [(0.0, 0.3, 0.6, 1.0)]
+    if q is LUKASIEWICZ:
+        # repeated strong rows per column, products that round to zero
+        palettes.append((0.0, 1e-17, 0.5, 0.51, 1.0))
+    for palette in palettes:
+        for _ in range(120):
+            ny = int(rng.integers(1, 5))
+            nx = int(rng.integers(1, 7))
+            p = random_kernel(rng, q, nx, ny, palette=palette)
+            got = classify(p)
+            want_level, want_orth = classify_bruteforce(p)
+            assert got.level.value == want_level
+            assert got.orthogonal == want_orth
+            if got.epsilon is not None:
+                assert witness_satisfies(p, got.epsilon, got.level.value)
+
+
+def test_long_augmenting_path_classifies_without_recursion():
+    p = chain_kernel(GOEDEL, 1501)
+    result = classify(p)
+    assert result.level is KernelLevel.NORMAL
+    assert witness_satisfies(p, result.epsilon, "normal")
 
 
 def test_strong_generator_classifies_strong():
