@@ -198,6 +198,8 @@ def read_codebook(path) -> Codebook:
         raise ParseError(f"{path}: malformed builder parameters {params[1:]}") from None
     if m * n != kernel.domain.size or a * b != kernel.codomain.size:
         raise ParseError(f"{path}: builder shapes disagree with the kernel sizes")
-    domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
-    shaped = _unchecked(Kernel, kernel.q, domain, codomain, kernel.values)
-    return Codebook(shaped, name)
+    try:
+        domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
+        return Codebook(_unchecked(Kernel, kernel.q, domain, codomain, kernel.values), name)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -112,11 +112,9 @@ def join_elems(fs: Sequence[ModuleElement]) -> ModuleElement:
 
 def scalar_mul(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """The scalar action (a * f)(x) = mul(a, f(x))."""
-    q.check(a)
-    return _unchecked(ModuleElement, f.index, q._mul(np.asarray(a, float), f.values))
+    return _unchecked(ModuleElement, f.index, q._mul(q._operand(a), f.values))
 
 
 def scalar_residuum(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """Residuum of the scalar action: the largest g with a * g <= f."""
-    q.check(a)
-    return _unchecked(ModuleElement, f.index, q._residuum(np.asarray(a, float), f.values))
+    return _unchecked(ModuleElement, f.index, q._residuum(q._operand(a), f.values))

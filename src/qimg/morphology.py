@@ -21,7 +21,7 @@ from .errors import DomainError, ParseError
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, require_unit
-from .transform import Kernel
+from .transform import Kernel, _read_lines
 
 __all__ = [
     "StructuringElement",
@@ -196,30 +196,22 @@ SEL_MAGIC = "QSEL 1"
 
 
 def write_sel(path, se: StructuringElement) -> None:
-    lines = [SEL_MAGIC]
-    for (dy, dx), v in sorted(se.items()):
-        lines.append(f"{dy} {dx} {repr(float(v))}")
+    lines = [SEL_MAGIC, *(f"{dy} {dx} {v!r}" for (dy, dx), v in sorted(se.items()))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_sel(path) -> StructuringElement:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != SEL_MAGIC:
-        raise ParseError(f"{path}: missing '{SEL_MAGIC}' header")
+    lines, _ = _read_lines(path, SEL_MAGIC)
     entries = {}
-    for i, ln in enumerate(raw[1:], start=2):
-        stripped = ln.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    for i, ln in enumerate(lines):
+        parts = ln.split()
         if len(parts) != 3:
-            raise ParseError(f"{path}: line {i} is not 'dy dx value'")
+            raise ParseError(f"{path}: entry {i} is not 'dy dx value'")
         try:
             dy, dx, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise ParseError(f"{path}: line {i} holds a malformed entry") from None
+            raise ParseError(f"{path}: entry {i} is malformed") from None
         entries[(dy, dx)] = v
     if not entries:
         raise ParseError(f"{path}: no entries")

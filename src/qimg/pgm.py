@@ -7,6 +7,9 @@ reproduces the original payload.
 
 from __future__ import annotations
 
+import contextlib
+import re
+
 import numpy as np
 
 from .errors import ParseError
@@ -16,88 +19,69 @@ __all__ = ["read_pgm", "write_pgm"]
 
 MAXVAL = 255
 
-_WHITESPACE = b" \t\r\n\v\f"
+# separators are whitespace runs and '#' comments up to end-of-line; a token
+# ends at either, and an empty token group means the data ran out
+_HEADER = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)" * 4)
+_COMMENT = re.compile(rb"#[^\n]*")
+_TOKEN_OR_COMMENT = re.compile(rb"#[^\n]*|[^\s#]+")
 
 
-class _Scanner:
-    """Tracks a byte offset through the PGM header."""
-
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def fail(self, message: str):
-        raise ParseError(f"{self.path}: {message}", offset=self.pos)
-
-    def skip_separators(self) -> None:
-        # whitespace runs and '#' comments up to end-of-line
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in (b"#",):
-                while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] != b"\n":
-                    self.pos += 1
-            elif byte and byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def read_token(self) -> bytes:
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if self.data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            self.fail("unexpected end of header")
-        return self.data[start : self.pos]
-
-    def read_int(self, what: str) -> int:
-        token = self.read_token()
+def _bad_sample(path, data: bytes, pos: int, count: int) -> ParseError:
+    """Locate the first P2 sample the bulk conversion rejected; error path only."""
+    tokens = (m for m in _TOKEN_OR_COMMENT.finditer(data, pos) if m[0][:1] != b"#")
+    for i, m in zip(range(count), tokens):
         try:
-            return int(token)
+            v = int(m[0])
         except ValueError:
-            self.pos -= len(token)
-            self.fail(f"{what} is not an integer: {token!r}")
+            return ParseError(f"{path}: sample {i} is not an integer: {m[0]!r}", offset=m.start())
+        if not 0 <= v <= MAXVAL:
+            return ParseError(f"{path}: sample {i} value {v} outside 0..{MAXVAL}", offset=m.end())
+    return ParseError(f"{path}: unexpected end of header", offset=len(data))
 
 
 def read_pgm(path) -> GridImage:
     with open(path, "rb") as fh:
         data = fh.read()
-    sc = _Scanner(data, path)
-    magic = sc.read_token()
-    if magic not in (b"P2", b"P5"):
-        sc.pos = 0
-        sc.fail(f"not a PGM file (magic {magic!r})")
-    width = sc.read_int("width")
-    height = sc.read_int("height")
-    maxval = sc.read_int("maxval")
+    head = _HEADER.match(data)
+    fields = []  # magic, width, height, maxval, checked in file order
+    for group, what in enumerate(("magic", "width", "height", "maxval"), start=1):
+        token, offset = head[group], head.start(group)
+        if not token:
+            raise ParseError(f"{path}: unexpected end of header", offset=offset)
+        if group == 1 and token not in (b"P2", b"P5"):
+            raise ParseError(f"{path}: not a PGM file (magic {token!r})", offset=0)
+        try:
+            fields.append(int(token) if group > 1 else token)
+        except ValueError:
+            raise ParseError(f"{path}: {what} is not an integer: {token!r}", offset=offset) from None
+    magic, width, height, maxval = fields
+    pos = head.end()
     if width < 1 or height < 1:
-        sc.fail(f"bad dimensions {width}x{height}")
+        raise ParseError(f"{path}: bad dimensions {width}x{height}", offset=pos)
     if maxval != MAXVAL:
-        sc.fail(f"unsupported maxval {maxval}, only {MAXVAL}")
+        raise ParseError(f"{path}: unsupported maxval {maxval}, only {MAXVAL}", offset=pos)
 
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the payload
-        if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
-            sc.fail("missing separator before binary payload")
-        sc.pos += 1
-        payload = data[sc.pos : sc.pos + count]
+        if not data[pos : pos + 1].isspace():
+            raise ParseError(f"{path}: missing separator before binary payload", offset=pos)
+        payload = data[pos + 1 : pos + 1 + count]
         if len(payload) < count:
-            sc.pos = len(data)
-            sc.fail(f"short payload: {len(payload)} of {count} bytes")
-        raster = np.frombuffer(payload, dtype=np.uint8).astype(float)
+            raise ParseError(
+                f"{path}: short payload: {len(payload)} of {count} bytes", offset=len(data)
+            )
+        samples = np.frombuffer(payload, dtype=np.uint8)
     else:
-        samples = np.empty(count)
-        for i in range(count):
-            v = sc.read_int(f"sample {i}")
-            if not 0 <= v <= MAXVAL:
-                sc.fail(f"sample {i} value {v} outside 0..{MAXVAL}")
-            samples[i] = v
-        raster = samples
-    return GridImage(raster.reshape(height, width) / MAXVAL)
+        tokens = _COMMENT.sub(b"", data[pos:]).split()
+        samples = None
+        # count the samples against the header before allocating their array
+        if len(tokens) >= count:
+            with contextlib.suppress(ValueError, OverflowError):
+                samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
+        if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
+            raise _bad_sample(path, data, pos, count)
+    return GridImage(samples.reshape(height, width) / MAXVAL)
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:
@@ -114,7 +98,6 @@ def write_pgm(path, img: GridImage, binary: bool = True) -> None:
             fh.write(header + bytes_.tobytes())
     else:
         lines = [f"P2\n{img.cols} {img.rows}\n{MAXVAL}"]
-        for row in bytes_:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines.extend(" ".join(map(str, row)) for row in bytes_.tolist())
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")

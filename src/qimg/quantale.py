@@ -7,8 +7,9 @@ two-element carrier {0, 1}.  All operations broadcast elementwise over
 numpy arrays, so the same code path serves scalars, module elements and
 whole kernels.
 
-The public ``mul`` and ``residuum`` check their operands; package code on
-already-validated kernels, elements and images calls ``_mul``/``_residuum``.
+The public ``mul`` and ``residuum`` check their operands and flush subnormal
+ones to 0; package code on already-validated kernels, elements and images
+calls ``_mul``/``_residuum``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ Values = Union[float, np.ndarray]
 
 BOTTOM = 0.0
 UNIT = 1.0  # the monoid unit e; also the top of the lattice
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def require_unit(arr: np.ndarray, what: str) -> None:
@@ -57,17 +59,23 @@ class Quantale:
         """Reject values outside the carrier."""
         require_unit(np.asarray(x, dtype=float), f"values of the {self.family} quantale")
 
+    def _operand(self, x: Values) -> np.ndarray:
+        """x as a checked float array with subnormals flushed to 0.
+
+        The float product underflows on a subnormal operand (0.5 * 5e-324 is
+        0), which would break the adjunction between mul and residuum.
+        """
+        arr = np.array(x, dtype=float)
+        self.check(arr)
+        return np.where(arr < TINY, BOTTOM, arr)
+
     def mul(self, x: Values, y: Values) -> Values:
         """The t-norm x * y, elementwise."""
-        self.check(x)
-        self.check(y)
-        return _result(self._mul(np.asarray(x, float), np.asarray(y, float)))
+        return _result(self._mul(self._operand(x), self._operand(y)))
 
     def residuum(self, x: Values, y: Values) -> Values:
         """The residuum x -> y = sup{z : z * x <= y}, in closed form."""
-        self.check(x)
-        self.check(y)
-        return _result(self._residuum(np.asarray(x, float), np.asarray(y, float)))
+        return _result(self._residuum(self._operand(x), self._operand(y)))
 
     def join(self, values: Iterable[float]) -> float:
         """Finite join; empty join is the bottom 0."""

@@ -239,28 +239,42 @@ KERNEL_MAGIC = "QKERNEL 1"
 def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
     lines = [KERNEL_MAGIC, f"{p.q.family} {p.domain.size} {p.codomain.size}"]
     lines.extend(f"# {c}" for c in comments)
-    for row in p.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    # row by row, so only one row of Python floats exists at a time
+    lines.extend(" ".join(map(repr, row.tolist())) for row in p.values)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
+    """Data lines and comment texts after the magic line, stripped; blank lines dropped."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not raw or raw[0].strip() != magic:
+        raise ParseError(f"{path}: missing '{magic}' header")
+    stripped = [ln.strip() for ln in raw[1:]]
+    comments = [ln[1:].strip() for ln in stripped if ln.startswith("#")]
+    return [ln for ln in stripped if ln and not ln.startswith("#")], comments
+
+
+def _bad_row(rows: list[str], ny: int) -> str:
+    """Describe the first data row that loadtxt rejects; error path only."""
+    for i, row in enumerate(rows):
+        count = len(row.split())
+        if count != ny:
+            return f"row {i} has {count} values, expected {ny}"
+        try:
+            np.loadtxt([row], comments=None)
+        except ValueError:
+            return f"row {i} holds a non-numeric token"
+    return "malformed data rows"
+
+
 def read_kernel(path) -> tuple[Kernel, list[str]]:
     """Parse a QKERNEL file; returns the kernel and any comment lines."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != KERNEL_MAGIC:
-        raise ParseError(f"{path}: missing '{KERNEL_MAGIC}' header")
-    comments = []
-    lines = []
-    for ln in raw[1:]:
-        stripped = ln.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comments.append(stripped[1:].strip())
-            continue
-        lines.append(stripped)
+    lines, comments = _read_lines(path, KERNEL_MAGIC)
     if not lines:
         raise ParseError(f"{path}: missing size header line")
     head = lines[0].split()
@@ -273,19 +287,18 @@ def read_kernel(path) -> tuple[Kernel, list[str]]:
         raise ParseError(f"{path}: {exc}") from None
     if nx < 1 or ny < 1:
         raise ParseError(f"{path}: kernel sizes must be positive")
-    if len(lines) - 1 != nx:
-        raise ParseError(f"{path}: expected {nx} data rows, found {len(lines) - 1}")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != ny:
-            raise ParseError(f"{path}: row {i} has {len(parts)} values, expected {ny}")
-        try:
-            rows.append([float(tok) for tok in parts])
-        except ValueError:
-            raise ParseError(f"{path}: row {i} holds a non-numeric token") from None
+    rows = lines[1:]
+    if len(rows) != nx:
+        raise ParseError(f"{path}: expected {nx} data rows, found {len(rows)}")
+    # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
     try:
-        kernel = Kernel(q, IndexSet(nx), IndexSet(ny), np.array(rows))
+        values = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] != ny:
+        raise ParseError(f"{path}: {_bad_row(rows, ny)}")
+    try:
+        kernel = Kernel(q, IndexSet(nx), IndexSet(ny), values)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return kernel, comments

@@ -150,6 +150,22 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes,builder",
+    [("4 1", "foo 2 2 1 1"), ("4 4", "block 4 1 2 2")],
+    ids=["unknown-builder", "codes-exceed-image"],
+)
+def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, sizes, builder):
+    nx, ny = map(int, sizes.split())
+    path = tmp_path / "cb.qk"
+    rows = "\n".join(" ".join(["0.5"] * ny) for _ in range(nx))
+    path.write_text(f"QKERNEL 1\ngoedel {sizes}\n# builder {builder}\n{rows}\n")
+    with pytest.raises(ParseError):
+        read_codebook(path)
+    assert main(["compress", "--codebook", str(path), str(grey_image), str(tmp_path / "o.pgm")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
     def broken(args):
         raise KeyError("bug")

@@ -334,11 +334,18 @@ def test_sel_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["QSEL 2\n0 0 1.0\n", "QSEL 1\n", "QSEL 1\n0 0\n", "QSEL 1\n0 0 1.5\n", "QSEL 1\na b 1.0\n"],
-    ids=["magic", "empty", "arity", "range", "ints"],
+    [
+        "QSEL 2\n0 0 1.0\n",
+        "QSEL 1\n",
+        "QSEL 1\n0 0\n",
+        "QSEL 1\n0 0 1.5\n",
+        "QSEL 1\na b 1.0\n",
+        "QSEL 1\n0 0 1.0\u00e9\n",
+    ],
+    ids=["magic", "empty", "arity", "range", "ints", "non-ascii"],
 )
 def test_sel_file_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.qsel"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         read_sel(path)

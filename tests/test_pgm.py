@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qimg import GridImage, ParseError, read_pgm, write_pgm
+from qimg.cli import main
 
 
 def test_byte_normalization(tmp_path):
@@ -40,9 +41,11 @@ def test_p2_matches_p5(tmp_path):
 
 def test_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
-    path.write_bytes(b"P2 # magic\n# a comment line\n 2 \t2\n# another\n255\n0 85\n170 255\n")
-    img = read_pgm(path)
-    assert np.allclose(img.pixels, np.array([[0, 85], [170, 255]]) / 255)
+    text = b"P2 # magic\n# a comment line\n 2 \t2\n# another\n255\n0 85 # row 0\n170#tight\n255\n"
+    for newline in (b"\n", b"\r\n"):
+        path.write_bytes(text.replace(b"\n", newline))
+        img = read_pgm(path)
+        assert np.allclose(img.pixels, np.array([[0, 85], [170, 255]]) / 255)
 
 
 @pytest.mark.parametrize(
@@ -54,8 +57,10 @@ def test_header_comments_and_whitespace(tmp_path):
         (b"P5\n2 2\n255\n\x00\x00", "short payload"),
         (b"P2\n2 1\n255\n12 999\n", "outside"),
         (b"P2\n2 1\n255\n12\n", "end of header"),
+        # the header promises 10^12 samples; none may be allocated before counting
+        (b"P2\n1000000 1000000\n255\n0 1 2\n", "end of header"),
     ],
-    ids=["magic", "dims", "maxval", "short", "range", "truncated"],
+    ids=["magic", "dims", "maxval", "short", "range", "truncated", "huge"],
 )
 def test_malformed_files_report_offsets(tmp_path, payload, fragment):
     path = tmp_path / "bad.pgm"
@@ -64,6 +69,8 @@ def test_malformed_files_report_offsets(tmp_path, payload, fragment):
         read_pgm(path)
     assert fragment in str(err.value)
     assert "byte" in str(err.value)
+    assert str(path) in str(err.value)
+    assert main(["dilate", "--se", "cross3", str(path), str(tmp_path / "out.pgm")]) == 2
 
 
 def test_missing_file_is_oserror(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qimg import BOOLEAN, GOEDEL, LUKASIEWICZ, PRODUCT, DomainError, quantale
 from support import ALL_FAMILIES, REAL_FAMILIES, TOL, close, residuum_oracle
@@ -112,6 +112,8 @@ def test_mul_monotone(x, y, z):
 
 
 @given(x=units, y=units)
+@example(x=5e-324, y=0.0)  # product: 0.5 * 5e-324 underflows to 0, unless flushed
+@example(x=1e-323, y=5e-324)  # subnormal on both sides
 def test_oracle_under_approximates_closed_form(x, y):
     for q in REAL_FAMILIES:
         closed = q.residuum(x, y)

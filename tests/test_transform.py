@@ -342,10 +342,12 @@ def test_kernel_file_round_trip(tmp_path):
 
 def test_kernel_file_tolerates_loose_whitespace(tmp_path):
     path = tmp_path / "k.qk"
-    path.write_text("QKERNEL 1\n\ngoedel   2 2\n# a comment\n 1.0\t0.0 \n0.25   0.5\n")
-    p, comments = read_kernel(path)
-    assert np.array_equal(p.values, [[1.0, 0.0], [0.25, 0.5]])
-    assert comments == ["a comment"]
+    text = "QKERNEL 1\n\ngoedel   2 2\n# a comment\n 1.0\t0.0 \n  # between rows\n0.25   0.5\n"
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        p, comments = read_kernel(path)
+        assert np.array_equal(p.values, [[1.0, 0.0], [0.25, 0.5]])
+        assert comments == ["a comment", "between rows"]
 
 
 @pytest.mark.parametrize(
@@ -357,13 +359,14 @@ def test_kernel_file_tolerates_loose_whitespace(tmp_path):
         "QKERNEL 1\ngoedel 1 2\n0.5\n",
         "QKERNEL 1\ngoedel 1 1\n1.5\n",
         "QKERNEL 1\ngoedel 1 1\nzebra\n",
+        "QKERNEL 1\ngoedel 1 1\n0.5\u00e9\n",
     ],
-    ids=["magic", "family", "rows", "cols", "range", "token"],
+    ids=["magic", "family", "rows", "cols", "range", "token", "non-ascii"],
 )
 def test_kernel_file_rejects_malformed(tmp_path, text):
     from qimg import ParseError
 
     path = tmp_path / "bad.qk"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         read_kernel(path)
