@@ -50,7 +50,11 @@ def cmd_gen_codebook(args) -> int:
 def _load_codebook(args) -> compression.Codebook:
     cb = compression.read_codebook(args.codebook)
     if args.quantale is not None and args.quantale != cb.kernel.q.family:
-        cb = compression.Codebook(cb.kernel.with_quantale(quantale(args.quantale)), cb.builder)
+        try:
+            kernel = cb.kernel.with_quantale(quantale(args.quantale))
+        except DomainError as exc:
+            raise ParseError(f"{args.codebook}: {exc}") from None
+        cb = compression.Codebook(kernel, cb.builder)
     return cb
 
 

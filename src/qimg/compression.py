@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
-from .free_module import IndexSet, _unchecked
+from .free_module import IndexSet
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale
-from .transform import Kernel, forward, inverse, read_kernel, write_kernel
+from .transform import Kernel, _ell, forward, inverse, read_kernel, write_kernel
 
 __all__ = [
     "Codebook",
@@ -93,20 +93,52 @@ def _hat_profiles(length: int, nodes: np.ndarray) -> np.ndarray:
     return profiles
 
 
+def _bumps_over(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position, the bumps covering it and their heights, padded with 0.
+
+    A position lies between two neighbouring nodes, so at most two bumps
+    cover it: both arrays are (length, 2), or (length, 1) if every position
+    is a node.
+    """
+    profiles = _hat_profiles(length, _nodes(length, count)).T  # (length, count)
+    i, h = np.nonzero(profiles)
+    return _ell(i, h, profiles[i, h], length)
+
+
 def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
     """Separable hat-function codebook; classifies strong by construction.
 
     Entry ((i,j),(h,k)) is the real product A_h(i) * B_k(j) of triangular
     bumps centred on an a x b lattice of node pixels; each code cell is 1
     exactly at its node and 0 at every other node, which makes the node map
-    the witnessing injection.
+    the witnessing injection.  Only the products of the bumps that cover a
+    pixel, at most 2 x 2, are formed.
     """
     _check_builder_params(q, m, n, a, b, minimum=2)
-    rows = _hat_profiles(m, _nodes(m, a))  # (a, m)
-    cols = _hat_profiles(n, _nodes(n, b))  # (b, n)
-    values = np.einsum("hi,kj->ijhk", rows, cols).reshape(m * n, a * b)
-    kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values)
+    hi, ht = _bumps_over(m, a)
+    ki, kt = _bumps_over(n, b)
+    shape = (m, n, hi.shape[1], ki.shape[1])
+    x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), shape)
+    y = hi[:, None, :, None] * b + ki[None, :, None, :]
+    w = ht[:, None, :, None] * kt[None, :, None, :]
+    kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w))
     return Codebook(kernel, "triangular")
+
+
+def _block_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split 0..length-1 into count near-equal blocks.
+
+    Returns, per position, its block, its distance from the block centre
+    over the block's reach (0 for a one-position block) and whether it is
+    the centre.
+    """
+    edges = np.array([length * h // count for h in range(count + 1)])
+    lo, hi = edges[:-1], edges[1:]
+    centre = (lo + hi - 1) // 2
+    reach = np.maximum(centre - lo, hi - 1 - centre)
+    block = np.repeat(np.arange(count), hi - lo)
+    offset = np.abs(np.arange(length) - centre[block])
+    return block, offset / np.maximum(reach[block], 1), offset == 0
 
 
 def build_block_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
@@ -115,30 +147,17 @@ def build_block_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codeboo
     The grid splits into a x b blocks of near-equal size.  Inside block
     (h,k) the weight is 1 at the block centre and decays linearly to a
     floor of 0.2 at the block boundary; outside it is 0, so distinct code
-    cells never overlap.
+    cells never overlap and each pixel has one entry.
     """
     _check_builder_params(q, m, n, a, b, minimum=1)
-    row_edges = [m * h // a for h in range(a + 1)]
-    col_edges = [n * k // b for k in range(b + 1)]
-    values = np.zeros((m, n, a, b))
-    for h in range(a):
-        r0, r1 = row_edges[h], row_edges[h + 1]
-        rc = (r0 + r1 - 1) // 2
-        rext = max(rc - r0, r1 - 1 - rc)
-        for k in range(b):
-            c0, c1 = col_edges[k], col_edges[k + 1]
-            cc = (c0 + c1 - 1) // 2
-            cext = max(cc - c0, c1 - 1 - cc)
-            ri = np.arange(r0, r1)
-            ci = np.arange(c0, c1)
-            dr = np.abs(ri - rc) / rext if rext else np.zeros(len(ri))
-            dc = np.abs(ci - cc) / cext if cext else np.zeros(len(ci))
-            # written so both endpoints are exact: 1.0 at the centre, 0.2 at the rim
-            w = 0.2 + 0.8 * (1.0 - np.maximum(dr[:, None], dc[None, :]))
-            w[rc - r0, cc - c0] = 1.0
-            values[r0:r1, c0:c1, h, k] = w
+    h, dr, rc = _block_axis(m, a)
+    k, dc, cc = _block_axis(n, b)
+    # written so both endpoints are exact: 1.0 at the centre, 0.2 at the rim
+    w = 0.2 + 0.8 * (1.0 - np.maximum(dr[:, None], dc[None, :]))
+    w[rc[:, None] & cc[None, :]] = 1.0
+    y = h[:, None] * b + k[None, :]
     kernel = Kernel(
-        q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values.reshape(m * n, a * b)
+        q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(np.arange(m * n), y, w)
     )
     return Codebook(kernel, "block")
 
@@ -200,6 +219,6 @@ def read_codebook(path) -> Codebook:
         raise ParseError(f"{path}: builder shapes disagree with the kernel sizes")
     try:
         domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
-        return Codebook(_unchecked(Kernel, kernel.q, domain, codomain, kernel.values), name)
+        return Codebook(kernel._with_index(domain, codomain), name)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

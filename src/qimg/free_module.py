@@ -43,14 +43,18 @@ class IndexSet:
                 raise ShapeError(f"shape {self.shape} does not cover size {self.size}")
 
 
-def _unchecked(cls, *values):
-    """Build cls from known-valid field values, skipping __post_init__; arrays go read-only."""
-    obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values):
+def _fill(obj, *values):
+    """Set obj's fields, in order, to known-valid values; arrays go read-only."""
+    for field, value in zip(fields(obj), values):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         object.__setattr__(obj, field.name, value)
     return obj
+
+
+def _unchecked(cls, *values):
+    """Build cls from known-valid field values, skipping its checks."""
+    return _fill(object.__new__(cls), *values)
 
 
 @dataclass(frozen=True, eq=False)

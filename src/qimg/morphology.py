@@ -146,20 +146,19 @@ def toeplitz_kernel(se: StructuringElement, rows: int, cols: int, cfg: MorphConf
     """The offset-invariant kernel p(x, y) = se(y - x) on a rows x cols grid.
 
     Reference path only: its forward/inverse transforms reproduce dilation
-    and erosion without the windowed shortcuts.
+    and erosion without the windowed shortcuts.  Each offset is one band of
+    entries, so the kernel stores at most |se| entries per pixel.
     """
-    size = rows * cols
-    values = np.zeros((size, size))
-    for (dy, dx), v in se.items():
-        for r in range(max(0, -dy), min(rows, rows - dy)):
-            c0, c1 = max(0, -dx), min(cols, cols - dx)
-            if c0 >= c1:
-                continue
-            x = r * cols + np.arange(c0, c1)
-            y = (r + dy) * cols + np.arange(c0, c1) + dx
-            values[x, y] = v
-    index = IndexSet(size, (rows, cols))
-    return Kernel(cfg.q, index, index, values)
+    offsets = np.array(list(se.entries.keys()))  # (|se|, 2)
+    v = np.array(list(se.entries.values()))
+    r = np.arange(rows)[:, None, None]
+    c = np.arange(cols)[None, :, None]
+    tr, tc = r + offsets[:, 0], c + offsets[:, 1]  # (rows, cols, |se|): where offsets land
+    inside = (tr >= 0) & (tr < rows) & (tc >= 0) & (tc < cols)
+    x = np.broadcast_to(r * cols + c, inside.shape)[inside]
+    w = np.broadcast_to(v, inside.shape)[inside]
+    index = IndexSet(rows * cols, (rows, cols))
+    return Kernel(cfg.q, index, index, entries=(x, (tr * cols + tc)[inside], w))
 
 
 # --- presets and the QSEL text format ---------------------------------------

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
-from .free_module import IndexSet, ModuleElement, _unchecked, delta
-from .quantale import Quantale, quantale
+from .free_module import IndexSet, ModuleElement, _fill, _unchecked, delta
+from .quantale import TINY, Quantale, quantale
 
 __all__ = [
     "Kernel",
@@ -38,29 +38,98 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+def _ell(keys: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int):
+    """Pad (key, index, weight) triplets into (n, width) arrays, one row per key.
+
+    A key's entries keep their input order.  Slots past them hold index 0
+    and weight 0; width is at least 1, so every row has a slot to reduce over.
+    """
+    counts = np.bincount(keys, minlength=n)
+    starts = np.cumsum(counts) - counts
+    if np.all(keys[1:] >= keys[:-1]):
+        slot = np.arange(keys.size) - starts[keys]
+    else:
+        order = np.argsort(keys, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(keys.size) - np.repeat(starts, counts)
+    out_idx = np.zeros((n, max(1, int(counts.max()))), dtype=np.intp)
+    out_w = np.zeros(out_idx.shape)
+    out_idx[keys, slot] = idx
+    out_w[keys, slot] = w
+    return out_idx, out_w
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Kernel:
-    """A map X x Y -> [0,1] tagged with the quantale its transform uses."""
+    """A map X x Y -> [0,1] tagged with the quantale its transform uses.
+
+    Only the nonzero entries are stored, twice, in padded per-index layouts
+    (ELL): row x lists the y's with p(x, y) > 0 and their weights, column y
+    the x's.  Padding has weight 0, which is exact for every family:
+    mul(f, 0) = 0 is the bottom of forward's join and residuum(0, g) = 1 the
+    top of inverse's meet.  Weights below the smallest normal float are
+    stored as 0: the float product underflows on them, which would break
+    the adjunction.
+    """
 
     q: Quantale
     domain: IndexSet
     codomain: IndexSet
-    values: np.ndarray  # shape (|X|, |Y|), row-major in x
+    row_idx: np.ndarray  # (|X|, row width): the y's of row x, padded with 0
+    row_w: np.ndarray  # their weights p(x, y), padded with 0
+    col_idx: np.ndarray  # (|Y|, column width): the x's of column y, padded with 0
+    col_w: np.ndarray  # their weights p(x, y), padded with 0
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.shape != (self.domain.size, self.codomain.size):
-            raise ShapeError(
-                f"kernel values shaped {arr.shape}, expected "
-                f"({self.domain.size}, {self.codomain.size})"
-            )
-        self.q.check(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    def __init__(self, q: Quantale, domain: IndexSet, codomain: IndexSet, values=None, *,
+                 entries=None):
+        """Build from a dense (|X|, |Y|) matrix, or from entries=(x, y, w).
+
+        The entries are the weights of distinct (x, y) pairs, in any order;
+        pairs left out are 0.  Either form is checked once.
+        """
+        if entries is None:
+            arr = np.asarray(values, dtype=float)
+            if arr.shape != (domain.size, codomain.size):
+                raise ShapeError(
+                    f"kernel values shaped {arr.shape}, expected ({domain.size}, {codomain.size})"
+                )
+            q.check(arr)
+            flat = np.flatnonzero(arr != 0.0)  # row-major, so already grouped by x
+            x, y = np.divmod(flat, codomain.size)
+            w = arr.reshape(-1)[flat]
+        else:
+            x, y, w = (np.asarray(a).reshape(-1) for a in entries)
+            q.check(w)
+        keep = w >= TINY
+        x, y, w = x[keep], y[keep], w[keep]
+        _fill(self, q, domain, codomain, *_ell(x, y, w, domain.size), *_ell(y, x, w, codomain.size))
+
+    def _dense(self, rows: slice) -> np.ndarray:
+        """The dense matrix of the given rows."""
+        idx, w = self.row_idx[rows], self.row_w[rows]
+        out = np.zeros((idx.shape[0], self.codomain.size))
+        # real entries only: a padding slot shares index 0 with a real entry there
+        r, s = np.nonzero(w)
+        out[r, idx[r, s]] = w[r, s]
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (|X|, |Y|) matrix, built afresh: O(|X|*|Y|), for tests and small kernels."""
+        out = self._dense(slice(None))
+        out.setflags(write=False)
+        return out
 
     def with_quantale(self, q: Quantale) -> "Kernel":
         """Re-tag the same entries under another family (revalidates them)."""
-        return Kernel(q, self.domain, self.codomain, self.values)
+        x, s = np.nonzero(self.row_w)
+        return Kernel(q, self.domain, self.codomain,
+                      entries=(x, self.row_idx[x, s], self.row_w[x, s]))
+
+    def _with_index(self, domain: IndexSet, codomain: IndexSet) -> "Kernel":
+        """The same stored entries over equally sized index sets with other shapes."""
+        return _unchecked(Kernel, self.q, domain, codomain,
+                          self.row_idx, self.row_w, self.col_idx, self.col_w)
 
     def __repr__(self) -> str:
         return f"Kernel({self.q.family}, |X|={self.domain.size}, |Y|={self.codomain.size})"
@@ -90,27 +159,36 @@ def _require(cond: bool, message: str) -> None:
 def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
     """Apply the transform with kernel p to f in Q^X."""
     _require(f.index == p.domain, f"element over {f.index} fed to kernel domain {p.domain}")
-    out = p.q._mul(f.values[:, None], p.values).max(axis=0)
+    out = p.q._mul(f.values[p.col_idx], p.col_w).max(axis=1)
     return _unchecked(ModuleElement, p.codomain, out)
 
 
 def inverse(p: Kernel, g: ModuleElement) -> ModuleElement:
     """Apply the inverse (residual) transform with kernel p to g in Q^Y."""
     _require(g.index == p.codomain, f"element over {g.index} fed to kernel codomain {p.codomain}")
-    out = p.q._residuum(p.values, g.values[None, :]).min(axis=1)
+    out = p.q._residuum(p.row_w, g.values[p.row_idx]).min(axis=1)
     return _unchecked(ModuleElement, p.domain, out)
 
 
 def identity_kernel(q: Quantale, index: IndexSet) -> Kernel:
-    return Kernel(q, index, index, np.eye(index.size))
+    diagonal = np.arange(index.size)
+    return Kernel(q, index, index, entries=(diagonal, diagonal, np.ones(index.size)))
 
 
 def compose(p1: Kernel, p2: Kernel) -> Kernel:
     """Kernel of the composite transform: forward(compose(p1,p2), f) = forward(p2, forward(p1, f))."""
     _require(p1.codomain == p2.domain, "inner index sets differ")
     _require(p1.q == p2.q, "kernels live over different quantales")
-    vals = p1.q._mul(p1.values[:, :, None], p2.values[None, :, :]).max(axis=1)
-    return _unchecked(Kernel, p1.q, p1.domain, p2.codomain, vals)
+    # row x of p1 reaches y = p1.row_idx[x, s], and row y of p2 reaches z
+    w = p1.q._mul(p1.row_w[:, :, None], p2.row_w[p1.row_idx])  # (|X|, s, t)
+    x, s, t = np.nonzero(w)
+    pair = x * p2.codomain.size + p2.row_idx[p1.row_idx[x, s], t]
+    order = np.argsort(pair)
+    pair, w = pair[order], w[x, s, t][order]
+    # several y can link one (x, z): keep the join of their products
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    x, z = np.divmod(pair[first], p2.codomain.size)
+    return Kernel(p1.q, p1.domain, p2.codomain, entries=(x, z, np.maximum.reduceat(w, first)))
 
 
 def kernel_of(
@@ -136,16 +214,13 @@ def is_orthogonal(p: Kernel) -> bool:
     """True iff every row annihilates across distinct codomain indices.
 
     Exact zero test: orthogonality is structural, no tolerance applies.
+    Every family's mul is monotone, so a row annihilates iff the product of
+    its two largest weights is 0.
     """
-    for row in p.values:
-        nz = row[row != 0.0]
-        if nz.size <= 1:
-            continue
-        prods = p.q._mul(nz[:, None], nz[None, :])
-        prods = prods[~np.eye(nz.size, dtype=bool)]
-        if np.any(prods != 0.0):
-            return False
-    return True
+    if p.row_w.shape[1] < 2:
+        return True
+    top = np.sort(p.row_w, axis=1)[:, -2:]
+    return not np.any(p.q._mul(top[:, 0], top[:, 1]) != 0.0)
 
 
 def _augment(root: int, adj: Sequence[Sequence[int]], match_x: dict[int, int]) -> bool:
@@ -176,11 +251,11 @@ def _augment(root: int, adj: Sequence[Sequence[int]], match_x: dict[int, int]) -
     return False
 
 
-def _normal_witness(vals: np.ndarray) -> tuple[int, ...] | None:
+def _normal_witness(p: Kernel) -> tuple[int, ...] | None:
     """Match every column to a distinct row holding 1 there, or report failure."""
-    adj: list[list[int]] = [[] for _ in range(vals.shape[1])]
-    xs, ys = np.nonzero(vals == 1.0)  # row-major, so each list ascends in x
-    for x, y in zip(xs.tolist(), ys.tolist()):
+    adj: list[list[int]] = [[] for _ in range(p.codomain.size)]
+    xs, slots = np.nonzero(p.row_w == 1.0)  # row-major, so each list ascends in x
+    for x, y in zip(xs.tolist(), p.row_idx[xs, slots].tolist()):
         adj[y].append(x)
     match_x: dict[int, int] = {}
     for y in range(len(adj)):
@@ -192,18 +267,17 @@ def _normal_witness(vals: np.ndarray) -> tuple[int, ...] | None:
     return tuple(eps)
 
 
-def _strong_witness(vals: np.ndarray) -> tuple[int, ...] | None:
+def _strong_witness(p: Kernel) -> tuple[int, ...] | None:
     """Read a strong injection off the rows, or None if some column has none.
 
     A strong row is 1 at exactly one column and 0 elsewhere, so each row
     serves one column only and no search is needed: column y takes the
     first strong row whose unit sits at y.
     """
-    nonzero = vals != 0.0  # argmax over bools is far cheaper than over floats
-    strong = (np.count_nonzero(nonzero, axis=1) == 1) & (vals.max(axis=1) == 1.0)
-    rows = np.flatnonzero(strong)
-    cols, first = np.unique(nonzero.argmax(axis=1)[rows], return_index=True)
-    if cols.size != vals.shape[1]:
+    w = p.row_w
+    rows = np.flatnonzero((np.count_nonzero(w, axis=1) == 1) & (w.max(axis=1) == 1.0))
+    cols, first = np.unique(p.row_idx[rows, w[rows].argmax(axis=1)], return_index=True)
+    if cols.size != p.codomain.size:
         return None
     return tuple(rows[first].tolist())
 
@@ -216,11 +290,11 @@ def classify(p: Kernel) -> KernelClass:
     unit entries hold a matching covering Y.
     """
     orthogonal = is_orthogonal(p)
-    eps = _strong_witness(p.values)
+    eps = _strong_witness(p)
     if eps is not None:
         level = KernelLevel.ORTHONORMAL if orthogonal else KernelLevel.STRONG
         return KernelClass(level, eps, orthogonal)
-    eps = _normal_witness(p.values)
+    eps = _normal_witness(p)
     if eps is not None:
         return KernelClass(KernelLevel.NORMAL, eps, orthogonal)
     return KernelClass(KernelLevel.GENERAL, None, orthogonal)
@@ -234,13 +308,17 @@ def classify(p: Kernel) -> KernelClass:
 #   |X| lines of |Y| decimal values, row-major in x
 
 KERNEL_MAGIC = "QKERNEL 1"
+_WRITE_BLOCK = 1 << 16  # entries densified at once by write_kernel
 
 
 def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
     lines = [KERNEL_MAGIC, f"{p.q.family} {p.domain.size} {p.codomain.size}"]
     lines.extend(f"# {c}" for c in comments)
-    # row by row, so only one row of Python floats exists at a time
-    lines.extend(" ".join(map(repr, row.tolist())) for row in p.values)
+    # a block of rows at a time, so the dense matrix never exists whole
+    step = max(1, _WRITE_BLOCK // p.codomain.size)
+    for start in range(0, p.domain.size, step):
+        block = p._dense(slice(start, start + step)).tolist()
+        lines.extend(" ".join(map(repr, row)) for row in block)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

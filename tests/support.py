@@ -18,6 +18,8 @@ from qimg import (
     Kernel,
     ModuleElement,
 )
+from qimg.compression import _hat_profiles, _nodes
+from qimg.quantale import TINY
 
 ALL_FAMILIES = (GOEDEL, PRODUCT, LUKASIEWICZ, BOOLEAN)
 REAL_FAMILIES = (GOEDEL, PRODUCT, LUKASIEWICZ)
@@ -195,3 +197,74 @@ def custom_codebook(q, values, image_shape, code_shape) -> Codebook:
     a, b = code_shape
     kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values)
     return Codebook(kernel, "custom")
+
+
+# --- dense references for the sparse kernel core ------------------------------------
+#
+# A Kernel stores only its nonzero entries; these evaluate the defining
+# formulas over the whole |X| x |Y| matrix, as the dense implementation did.
+
+def forward_dense(p: Kernel, f: ModuleElement) -> np.ndarray:
+    return p.q._mul(f.values[:, None], p.values).max(axis=0)
+
+
+def inverse_dense(p: Kernel, g: ModuleElement) -> np.ndarray:
+    return p.q._residuum(p.values, g.values[None, :]).min(axis=1)
+
+
+def compose_dense(p1: Kernel, p2: Kernel) -> np.ndarray:
+    vals = p1.q._mul(p1.values[:, :, None], p2.values[None, :, :]).max(axis=1)
+    # a kernel stores weights below the smallest normal float as 0
+    return np.where(vals < TINY, 0.0, vals)
+
+
+def is_orthogonal_dense(p: Kernel) -> bool:
+    """Every pair of distinct nonzero entries of every row, multiplied out."""
+    for row in p.values:
+        nz = row[row != 0.0]
+        prods = p.q._mul(nz[:, None], nz[None, :])[~np.eye(nz.size, dtype=bool)]
+        if np.any(prods != 0.0):
+            return False
+    return True
+
+
+def triangular_values_dense(m: int, n: int, a: int, b: int) -> np.ndarray:
+    rows = _hat_profiles(m, _nodes(m, a))
+    cols = _hat_profiles(n, _nodes(n, b))
+    return np.einsum("hi,kj->ijhk", rows, cols).reshape(m * n, a * b)
+
+
+def block_values_dense(m: int, n: int, a: int, b: int) -> np.ndarray:
+    row_edges = [m * h // a for h in range(a + 1)]
+    col_edges = [n * k // b for k in range(b + 1)]
+    values = np.zeros((m, n, a, b))
+    for h in range(a):
+        r0, r1 = row_edges[h], row_edges[h + 1]
+        rc = (r0 + r1 - 1) // 2
+        rext = max(rc - r0, r1 - 1 - rc)
+        for k in range(b):
+            c0, c1 = col_edges[k], col_edges[k + 1]
+            cc = (c0 + c1 - 1) // 2
+            cext = max(cc - c0, c1 - 1 - cc)
+            ri = np.arange(r0, r1)
+            ci = np.arange(c0, c1)
+            dr = np.abs(ri - rc) / rext if rext else np.zeros(len(ri))
+            dc = np.abs(ci - cc) / cext if cext else np.zeros(len(ci))
+            w = 0.2 + 0.8 * (1.0 - np.maximum(dr[:, None], dc[None, :]))
+            w[rc - r0, cc - c0] = 1.0
+            values[r0:r1, c0:c1, h, k] = w
+    return values.reshape(m * n, a * b)
+
+
+def toeplitz_values_dense(se, rows: int, cols: int) -> np.ndarray:
+    size = rows * cols
+    values = np.zeros((size, size))
+    for (dy, dx), v in se.items():
+        for r in range(max(0, -dy), min(rows, rows - dy)):
+            c0, c1 = max(0, -dx), min(cols, cols - dx)
+            if c0 >= c1:
+                continue
+            x = r * cols + np.arange(c0, c1)
+            y = (r + dy) * cols + np.arange(c0, c1) + dx
+            values[x, y] = v
+    return values

@@ -166,6 +166,16 @@ def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys
     assert str(path) in capsys.readouterr().err
 
 
+def test_quantale_override_error_names_the_file(tmp_path, grey_image, capsys):
+    path = tmp_path / "cb.qk"
+    assert main(["gen-codebook", "--builder", "triangular", "--size", "16x16",
+                 "--codes", "4x4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--codebook", str(path), "--quantale", "boolean",
+                 str(grey_image), str(tmp_path / "o.pgm")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
     def broken(args):
         raise KeyError("bug")

@@ -1,6 +1,7 @@
 """Codebook builders, compression round trips and fidelity metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from qimg import (
     reconstruct,
     write_codebook,
 )
-from support import REAL_FAMILIES, close, custom_codebook, leq
+from support import (
+    REAL_FAMILIES,
+    block_values_dense,
+    close,
+    custom_codebook,
+    leq,
+    triangular_values_dense,
+)
 
 
 def random_image(rng, shape):
@@ -33,6 +41,33 @@ def random_image(rng, shape):
 
 
 # --- builders ------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", REAL_FAMILIES, ids=lambda q: q.family)
+@pytest.mark.parametrize("sizes", [(5, 5, 3, 3), (9, 14, 4, 5), (32, 32, 8, 8), (6, 4, 6, 4)])
+def test_builders_match_their_dense_construction(q, sizes):
+    assert np.array_equal(build_triangular_codebook(q, *sizes).kernel.values,
+                          triangular_values_dense(*sizes))
+    assert np.array_equal(build_block_codebook(q, *sizes).kernel.values, block_values_dense(*sizes))
+    assert np.array_equal(build_block_codebook(q, 7, 5, 1, 1).kernel.values,
+                          block_values_dense(7, 5, 1, 1))
+
+
+def test_large_codebook_round_trip_stays_small():
+    # the dense 512^2 x 64^2 kernel alone would take 8 GiB
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        cb = build_triangular_codebook(GOEDEL, 512, 512, 64, 64)
+        img = random_image(rng, (512, 512))
+        back = reconstruct(cb, compress(cb, img))
+        level = classify(cb.kernel).level
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert level is KernelLevel.STRONG
+    assert leq(img.pixels, back.pixels)
+
 
 def test_triangular_node_profile():
     cb = build_triangular_codebook(GOEDEL, 5, 5, 3, 3)

@@ -32,6 +32,7 @@ from support import (
     close,
     leq,
     shift_pixels,
+    toeplitz_values_dense,
 )
 
 ORIGIN = StructuringElement({(0, 0): 1.0})
@@ -302,6 +303,32 @@ def test_toeplitz_matches_windowed_operators(q):
         # them; the two agree wherever the element support stays in frame
         assert close(erode(se, img, cfg).pixels[2:-2, 2:-2], ero[2:-2, 2:-2])
         assert leq(erode(se, img, cfg).pixels, ero, tol=0.0)
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_toeplitz_kernel_matches_its_dense_construction(q):
+    rng = np.random.default_rng(57)
+    cfg = MorphConfig(q)
+    for rows, cols in ((1, 1), (3, 7), (6, 5)):
+        for radius in (1, 3, 8):
+            se = random_se(rng, q, radius=radius, count=6)
+            assert np.array_equal(toeplitz_kernel(se, rows, cols, cfg).values,
+                                  toeplitz_values_dense(se, rows, cols))
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_toeplitz_matches_windowed_operators_at_full_raster_size(q):
+    # 256^2 is the cli raster; its dense Toeplitz kernel would take 32 GiB
+    rng = np.random.default_rng(60)
+    cfg = MorphConfig(q)
+    se = random_se(rng, q, radius=2, count=5)
+    img = random_binary(rng, (256, 256)) if q is BOOLEAN else GridImage(rng.uniform(0, 1, (256, 256)))
+    kernel = toeplitz_kernel(se, 256, 256, cfg)
+    dil = forward(kernel, img.element()).values.reshape(256, 256)
+    assert close(dilate(se, img, cfg).pixels, dil)
+    ero = inverse(kernel, img.element()).values.reshape(256, 256)
+    assert close(erode(se, img, cfg).pixels[2:-2, 2:-2], ero[2:-2, 2:-2])
+    assert leq(erode(se, img, cfg).pixels, ero, tol=0.0)
 
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qimg import (
     BOOLEAN,
@@ -27,11 +29,17 @@ from qimg import (
     scalar_mul,
     write_kernel,
 )
+from qimg.quantale import TINY
 from support import (
     ALL_FAMILIES,
+    REAL_FAMILIES,
     chain_kernel,
     classify_bruteforce,
     close,
+    compose_dense,
+    forward_dense,
+    inverse_dense,
+    is_orthogonal_dense,
     leq,
     random_element,
     random_kernel,
@@ -134,6 +142,16 @@ def test_unit_and_counit(q):
         g = random_element(rng, q, p.codomain)
         assert leq(f.values, inverse(p, forward(p, f)).values)
         assert leq(forward(p, inverse(p, g)).values, g.values)
+
+
+@pytest.mark.parametrize("q", REAL_FAMILIES, ids=lambda q: q.family)
+def test_subnormal_entry_keeps_the_adjunction(q):
+    # the float product underflows on a subnormal weight (0.5 * 5e-324 is 0),
+    # so the kernel stores such a weight as 0
+    p = Kernel(q, IndexSet(1), IndexSet(1), [[5e-324]])
+    f = ModuleElement(p.domain, [0.5])
+    assert f <= inverse(p, forward(p, f))
+    assert np.array_equal(p.values, [[0.0]])
 
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
@@ -266,6 +284,54 @@ def test_strong_generator_classifies_strong():
     assert result.level in (KernelLevel.STRONG, KernelLevel.ORTHONORMAL)
     assert witness_satisfies(p, result.epsilon, "strong")
     assert set(eps) == set(eps)  # generator's witness is injective by construction
+
+
+# --- sparse storage against the dense formulas ------------------------------------
+
+def weights(q):
+    if q is BOOLEAN:
+        return st.sampled_from([0.0, 1.0])
+    return st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def kernel_values(draw, q, nx: int, ny: int) -> np.ndarray:
+    """Dense entries shaped to stress the padded layouts."""
+    vals = draw(arrays(float, (nx, ny), elements=weights(q)))
+    layout = draw(st.sampled_from(["holes", "empty", "dense", "column0"]))
+    if layout == "holes":  # whole rows and columns of zeros
+        vals[draw(arrays(bool, nx)), :] = 0.0
+        vals[:, draw(arrays(bool, ny))] = 0.0
+    elif layout == "empty":  # every layout is one padded slot wide
+        vals[:] = 0.0
+    elif layout == "dense":  # no padding at all
+        vals[vals < TINY] = 1.0
+    else:  # a lone entry in column 0 beside padding that also points at column 0
+        vals[0, :] = 0.0
+        vals[0, 0] = 1.0
+        vals[-1, vals[-1] < TINY] = 1.0
+    return vals
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_oracles(q, data):
+    nx, ny, nz = (data.draw(st.integers(1, 6)) for _ in range(3))
+    vals = data.draw(kernel_values(q, nx, ny))
+    p = Kernel(q, IndexSet(nx), IndexSet(ny), vals)
+    assert np.array_equal(p.values, np.where(vals < TINY, 0.0, vals))
+    f = ModuleElement(p.domain, data.draw(arrays(float, nx, elements=weights(q))))
+    g = ModuleElement(p.codomain, data.draw(arrays(float, ny, elements=weights(q))))
+    assert np.array_equal(forward(p, f).values, forward_dense(p, f))
+    assert np.array_equal(inverse(p, g).values, inverse_dense(p, g))
+    assert is_orthogonal(p) == is_orthogonal_dense(p)
+    p2 = Kernel(q, p.codomain, IndexSet(nz), data.draw(kernel_values(q, ny, nz)))
+    assert np.array_equal(compose(p, p2).values, compose_dense(p, p2))
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_identity_kernel_is_the_unit_matrix(q):
+    assert np.array_equal(identity_kernel(q, IndexSet(7)).values, np.eye(7))
 
 
 # --- kernel extraction and composition -----------------------------------------
