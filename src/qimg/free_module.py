@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .quantale import Quantale, require_unit
+from .quantale import Quantale, require_carrier, unit_carrier
 
 __all__ = [
     "IndexSet",
@@ -68,7 +68,7 @@ class ModuleElement:
         arr = np.array(self.values, dtype=float).reshape(-1)
         if arr.shape[0] != self.index.size:
             raise ShapeError(f"expected {self.index.size} values, got {arr.shape[0]}")
-        require_unit(arr, "module element values")
+        unit_carrier(arr, "module element values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -116,9 +116,11 @@ def join_elems(fs: Sequence[ModuleElement]) -> ModuleElement:
 
 def scalar_mul(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """The scalar action (a * f)(x) = mul(a, f(x))."""
+    require_carrier(q, f.values)
     return _unchecked(ModuleElement, f.index, q._mul(q._operand(a), f.values))
 
 
 def scalar_residuum(q: Quantale, a: float, f: ModuleElement) -> ModuleElement:
     """Residuum of the scalar action: the largest g with a * g <= f."""
+    require_carrier(q, f.values)
     return _unchecked(ModuleElement, f.index, q._residuum(q._operand(a), f.values))

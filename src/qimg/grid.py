@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .free_module import IndexSet, ModuleElement, _unchecked
-from .quantale import require_unit
+from .quantale import unit_carrier
 
 __all__ = ["GridImage"]
 
@@ -27,7 +27,7 @@ class GridImage:
         arr = np.array(self.pixels, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError("an image needs a non-empty 2-D pixel array")
-        require_unit(arr, "pixel values")
+        unit_carrier(arr, "pixel values")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -57,9 +57,6 @@ class GridImage:
         if elem.index.shape is None:
             raise ShapeError("module element carries no 2-D shape")
         return _unchecked(cls, elem.values.reshape(elem.index.shape))
-
-    def is_binary(self) -> bool:
-        return bool(np.all((self.pixels == 0.0) | (self.pixels == 1.0)))
 
     def __le__(self, other: "GridImage") -> bool:
         if self.shape != other.shape:

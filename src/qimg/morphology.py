@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
-from .quantale import BOOLEAN, Quantale, require_unit
+from .quantale import require_carrier, unit_carrier
 from .transform import Kernel, _read_lines
 
 __all__ = [
@@ -57,11 +57,8 @@ class StructuringElement:
             items[(int(dy), int(dx))] = float(value)
         if not items:
             raise ValueError("structuring element needs at least one offset")
-        require_unit(np.array(list(items.values())), "structuring element weights")
-        object.__setattr__(self, "entries", MappingProxyType(items))
-
-    def is_binary(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.entries.values())
+        weights = unit_carrier(np.array(list(items.values())), "structuring element weights")
+        object.__setattr__(self, "entries", MappingProxyType(dict(zip(items, weights.tolist()))))
 
     def items(self):
         return self.entries.items()
@@ -87,49 +84,58 @@ def reflect(se: StructuringElement) -> StructuringElement:
     return StructuringElement({(-dy, -dx): v for (dy, dx), v in se.items()})
 
 
-def _check_binary(se: StructuringElement, img: GridImage, q: Quantale) -> None:
-    if q == BOOLEAN and not (se.is_binary() and img.is_binary()):
-        raise DomainError("boolean morphology needs a binary image and element")
+# Both operators pad the raster once, by the element's radius r, so every
+# offset is a slice view of one canvas; the edge values of ``replicate`` do
+# not depend on the pad width.  Offsets of weight 0 are skipped: mul(0, f)
+# is the bottom of dilation's join and residuum(0, f) the top of erosion's
+# meet.  The views of one weight v are folded with max (min) first and
+# multiplied (residuated) by v once: on floats every _mul(v, .) and
+# _residuum(v, .) is non-decreasing, and a non-decreasing map commutes
+# exactly with a finite max or min.  That includes the unit guard of the
+# Lukasiewicz t-norm, _mul(v, 1) = v: for a < 1, a <= 1 - 2^-53, so the
+# exact sum v + a <= (v + 1) - ulp/2 with ulp = 2^-52 on [1, 2); rounding
+# moves it by at most ulp/2, so it rounds to at most v + 1, the - 1 is
+# exact there, and _mul(v, a) <= v.  For v = 1 the call is skipped, since
+# mul(1, f) = residuum(1, f) = f exactly in every family.
 
-
-def _shifted(pixels: np.ndarray, dy: int, dx: int, padding: str) -> np.ndarray:
-    """Array T with T[r, c] = pixels[r - dy, c - dx], padded per policy."""
-    rows, cols = pixels.shape
-    py, px = abs(dy), abs(dx)
-    if py == 0 and px == 0:
-        return pixels
-    if padding == "replicate":
-        padded = np.pad(pixels, ((py, py), (px, px)), mode="edge")
+def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empty: float):
+    """out(y) = fold over the offsets d of act(se(d), img(y + sign * d)); empty if none."""
+    levels: dict[float, list[tuple[int, int]]] = {}  # nonzero weight -> its offsets
+    for offset, v in se.items():
+        if v != 0.0:
+            levels.setdefault(v, []).append(offset)
+    require_carrier(cfg.q, np.array(list(levels)))
+    require_carrier(cfg.q, img.pixels)
+    rows, cols = img.shape
+    out = np.full(img.shape, empty)
+    if not levels:
+        return _unchecked(GridImage, out)
+    r = max(max(abs(dy), abs(dx)) for offsets in levels.values() for dy, dx in offsets)
+    if cfg.padding == "replicate":
+        canvas = np.pad(img.pixels, r, mode="edge")
     else:
-        fill = 0.0 if padding == "zero" else 1.0
-        padded = np.pad(pixels, ((py, py), (px, px)), mode="constant", constant_values=fill)
-    return padded[py - dy : py - dy + rows, px - dx : px - dx + cols]
+        canvas = np.pad(img.pixels, r, constant_values=0.0 if cfg.padding == "zero" else 1.0)
+    buf = np.empty(img.shape)
+    for v, offsets in levels.items():
+        acc = out if v == 1.0 else buf
+        if acc is buf:
+            buf.fill(empty)
+        for dy, dx in offsets:
+            y0, x0 = r + sign * dy, r + sign * dx
+            fold(acc, canvas[y0 : y0 + rows, x0 : x0 + cols], out=acc)
+        if acc is buf:
+            fold(out, act(v, buf), out=out)
+    return _unchecked(GridImage, out)
 
 
 def dilate(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
     """out(y) = join over x of mul(se(y - x), img(x))."""
-    _check_binary(se, img, cfg.q)
-    out = np.zeros(img.shape)
-    for (dy, dx), v in se.items():
-        contrib = cfg.q._mul(v, _shifted(img.pixels, dy, dx, cfg.padding))
-        np.maximum(out, contrib, out=out)
-    return _unchecked(GridImage, out)
+    return _level_fold(se, img, cfg, -1, np.maximum, cfg.q._mul, 0.0)
 
 
 def erode(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
-    """out(x) = meet over y of residuum(se(y - x), img(y)).
-
-    Offsets with weight 0 are skipped: bottom -> v is the top and cannot
-    move the meet.
-    """
-    _check_binary(se, img, cfg.q)
-    out = np.ones(img.shape)
-    for (dy, dx), v in se.items():
-        if v == 0.0:
-            continue
-        contrib = cfg.q._residuum(v, _shifted(img.pixels, -dy, -dx, cfg.padding))
-        np.minimum(out, contrib, out=out)
-    return _unchecked(GridImage, out)
+    """out(x) = meet over y of residuum(se(y - x), img(y))."""
+    return _level_fold(se, img, cfg, 1, np.minimum, cfg.q._residuum, 1.0)
 
 
 def opening(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:

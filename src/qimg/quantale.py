@@ -43,6 +43,17 @@ def require_unit(arr: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must lie in [0,1]")
 
 
+def unit_carrier(arr: np.ndarray, what: str) -> np.ndarray:
+    """Check a freshly made float array against [0,1] and flush it to {0} u [TINY, 1], in place.
+
+    The float product underflows on a subnormal operand (0.5 * 5e-324 is
+    0), which would break the adjunction between mul and residuum.
+    """
+    require_unit(arr, what)
+    np.putmask(arr, arr < TINY, BOTTOM)
+    return arr
+
+
 def _result(a):
     # collapse 0-d arrays back to plain scalars
     if isinstance(a, np.ndarray) and a.ndim == 0:
@@ -151,9 +162,7 @@ class _Boolean(Quantale):
     family = "boolean"
 
     def check(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.size and np.any((arr != 0.0) & (arr != 1.0)):
-            raise DomainError("boolean quantale requires values in {0, 1}")
+        require_carrier(self, np.asarray(x, dtype=float))
 
     def _mul(self, x, y):
         return np.minimum(x, y)
@@ -170,6 +179,18 @@ BOOLEAN = _Boolean()
 FAMILIES = {
     q.family: q for q in (GOEDEL, PRODUCT, LUKASIEWICZ, BOOLEAN)
 }
+
+
+def require_carrier(q: Quantale, values: np.ndarray) -> None:
+    """Reject [0,1] values that lie outside q's carrier.
+
+    Elements, images and structuring elements are checked against [0,1]
+    when built, with no family in sight.  Only the Boolean carrier {0, 1}
+    is narrower, so operators call this where a family meets them: O(n)
+    under BOOLEAN and nothing for the real families.
+    """
+    if q == BOOLEAN and np.any((values != 0.0) & (values != 1.0)):
+        raise DomainError("boolean quantale requires values in {0, 1}")
 
 
 def quantale(name: str) -> Quantale:

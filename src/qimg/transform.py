@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
 from .free_module import IndexSet, ModuleElement, _fill, _unchecked, delta
-from .quantale import TINY, Quantale, quantale
+from .quantale import TINY, Quantale, quantale, require_carrier
 
 __all__ = [
     "Kernel",
@@ -159,6 +159,7 @@ def _require(cond: bool, message: str) -> None:
 def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
     """Apply the transform with kernel p to f in Q^X."""
     _require(f.index == p.domain, f"element over {f.index} fed to kernel domain {p.domain}")
+    require_carrier(p.q, f.values)
     out = p.q._mul(f.values[p.col_idx], p.col_w).max(axis=1)
     return _unchecked(ModuleElement, p.codomain, out)
 
@@ -166,6 +167,7 @@ def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
 def inverse(p: Kernel, g: ModuleElement) -> ModuleElement:
     """Apply the inverse (residual) transform with kernel p to g in Q^Y."""
     _require(g.index == p.codomain, f"element over {g.index} fed to kernel codomain {p.codomain}")
+    require_carrier(p.q, g.values)
     out = p.q._residuum(p.row_w, g.values[p.row_idx]).min(axis=1)
     return _unchecked(ModuleElement, p.domain, out)
 

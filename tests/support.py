@@ -184,11 +184,48 @@ def binary_brute_erode(se, img: GridImage) -> GridImage:
 
 
 def _as_sets(se, img: GridImage):
-    if not (se.is_binary() and img.is_binary()):
+    weights = np.array([v for _, v in se.items()])
+    if not (np.isin(weights, (0.0, 1.0)).all() and np.isin(img.pixels, (0.0, 1.0)).all()):
         raise DomainError("set-morphology oracles need binary inputs")
     points = {(r, c) for r, c in zip(*np.nonzero(img.pixels))}
     support = {d for d, v in se.items() if v == 1.0}
     return points, support
+
+
+# --- the per-offset windowed morphology, as the level-fold operators' reference ---------
+
+def _shifted(pixels: np.ndarray, dy: int, dx: int, padding: str) -> np.ndarray:
+    """Array T with T[r, c] = pixels[r - dy, c - dx], padded per policy."""
+    rows, cols = pixels.shape
+    py, px = abs(dy), abs(dx)
+    if py == 0 and px == 0:
+        return pixels
+    if padding == "replicate":
+        padded = np.pad(pixels, ((py, py), (px, px)), mode="edge")
+    else:
+        fill = 0.0 if padding == "zero" else 1.0
+        padded = np.pad(pixels, ((py, py), (px, px)), mode="constant", constant_values=fill)
+    return padded[py - dy : py - dy + rows, px - dx : px - dx + cols]
+
+
+def dilate_per_offset(se, img: GridImage, cfg) -> np.ndarray:
+    """One padded copy and one mul per offset, joined in element order."""
+    out = np.zeros(img.shape)
+    for (dy, dx), v in se.items():
+        contrib = cfg.q._mul(v, _shifted(img.pixels, dy, dx, cfg.padding))
+        np.maximum(out, contrib, out=out)
+    return out
+
+
+def erode_per_offset(se, img: GridImage, cfg) -> np.ndarray:
+    """One padded copy and one residuum per nonzero offset, met in element order."""
+    out = np.ones(img.shape)
+    for (dy, dx), v in se.items():
+        if v == 0.0:
+            continue
+        contrib = cfg.q._residuum(v, _shifted(img.pixels, -dy, -dx, cfg.padding))
+        np.minimum(out, contrib, out=out)
+    return out
 
 
 def custom_codebook(q, values, image_shape, code_shape) -> Codebook:

@@ -5,7 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimg import GridImage, ParseError, cli, read_codebook, read_kernel, read_pgm, write_pgm
+from qimg import (
+    BOOLEAN,
+    Codebook,
+    GridImage,
+    IndexSet,
+    ParseError,
+    cli,
+    identity_kernel,
+    read_codebook,
+    read_kernel,
+    read_pgm,
+    write_codebook,
+    write_pgm,
+)
 from qimg.cli import main
 
 SAMPLE = Path(__file__).parent / "data" / "sample64.pgm"
@@ -109,6 +122,19 @@ def test_validation_failures_exit_2(tmp_path, grey_image, capsys):
     out = tmp_path / "o.pgm"
     assert main(["dilate", "--se", "cross3", "--quantale", "boolean",
                  str(grey_image), str(out)]) == 2
+    assert capsys.readouterr().err.startswith("qimg:")
+
+
+def test_grey_image_through_a_boolean_codebook_exits_2(tmp_path, capsys):
+    grid = IndexSet(16, (4, 4))
+    cb = tmp_path / "eye.qk"
+    write_codebook(cb, Codebook(identity_kernel(BOOLEAN, grid), "custom"))
+    grey, binary, out = tmp_path / "grey.pgm", tmp_path / "binary.pgm", tmp_path / "o.pgm"
+    write_pgm(grey, GridImage(np.full((4, 4), 0.6)))
+    write_pgm(binary, GridImage(np.eye(4)))
+    assert main(["compress", "--codebook", str(cb), str(binary), str(out)]) == 0
+    assert np.array_equal(read_pgm(out).pixels, np.eye(4))
+    assert main(["compress", "--codebook", str(cb), str(grey), str(out)]) == 2
     assert capsys.readouterr().err.startswith("qimg:")
 
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qimg import (
     BOOLEAN,
     GOEDEL,
     LUKASIEWICZ,
+    PRODUCT,
     DomainError,
     GridImage,
     MorphConfig,
@@ -24,12 +27,16 @@ from qimg import (
     toeplitz_kernel,
     write_sel,
 )
+from qimg.morphology import PADDINGS, PRESETS
+from qimg.quantale import TINY
 from support import (
     ALL_FAMILIES,
     REAL_FAMILIES,
     binary_brute_dilate,
     binary_brute_erode,
     close,
+    dilate_per_offset,
+    erode_per_offset,
     leq,
     shift_pixels,
     toeplitz_values_dense,
@@ -275,6 +282,89 @@ def test_opening_closing_laws(q):
             px[1:-1, 1:-1] = rng.uniform(0, 1, (6, 6))
             inner = GridImage(px)
         assert leq(inner.pixels, closing(se, inner, cfg).pixels)
+
+
+# --- the level fold against the per-offset oracle ---------------------------------------
+
+# 1 and 1 - ulp meet inside one level; TINY is the smallest value kept
+ADVERSARIAL = (0.0, TINY, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def cone(radius=3):
+    """A fuzzy (2r+1)^2 cone: 1 at the origin, nine weight levels, 0 at the corners."""
+    foot = radius + 1.0
+    return StructuringElement({
+        (dy, dx): max(0.0, 1.0 - float(np.hypot(dy, dx)) / foot)
+        for dy in range(-radius, radius + 1)
+        for dx in range(-radius, radius + 1)
+    })
+
+
+def assert_matches_per_offset(se, img, cfg):
+    assert dilate(se, img, cfg).pixels.tobytes() == dilate_per_offset(se, img, cfg).tobytes()
+    assert erode(se, img, cfg).pixels.tobytes() == erode_per_offset(se, img, cfg).tobytes()
+
+
+@st.composite
+def level_cases(draw, q):
+    palette = (0.0, 1.0) if q is BOOLEAN else ADVERSARIAL
+    # a few distinct weights over up to 10 offsets, so levels hold several
+    # offsets; radius up to 8 against rasters of 1x1 up to 6x6
+    weights = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=3))
+    radius = draw(st.integers(0, 8))
+    reach = st.integers(-radius, radius)
+    offsets = draw(st.lists(st.tuples(reach, reach), min_size=1, max_size=10, unique=True))
+    se = StructuringElement({d: draw(st.sampled_from(weights)) for d in offsets})
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return se, GridImage(draw(arrays(float, shape, elements=st.sampled_from(palette))))
+
+
+@pytest.mark.parametrize("padding", PADDINGS)
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+@given(data=st.data())
+def test_level_fold_matches_per_offset_oracle_bit_for_bit(q, padding, data):
+    se, img = data.draw(level_cases(q))
+    assert_matches_per_offset(se, img, MorphConfig(q, padding))
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_level_fold_matches_per_offset_oracle_at_512(q):
+    rng = np.random.default_rng(61)
+    if q is BOOLEAN:
+        img = random_binary(rng, (512, 512))
+        elements = [preset(name) for name in sorted(PRESETS)]
+        elements.append(StructuringElement({d: float(v > 0.0) for d, v in cone().items()}))
+    else:
+        px = rng.uniform(0.0, 1.0, (512, 512))
+        spots = rng.random((512, 512)) < 0.1
+        px[spots] = rng.choice(ADVERSARIAL, spots.sum())
+        img = GridImage(px)
+        elements = [preset(name) for name in sorted(PRESETS)] + [cone()]
+    for padding in PADDINGS:
+        for se in elements:
+            assert_matches_per_offset(se, img, MorphConfig(q, padding))
+
+
+def test_subnormal_pixel_keeps_the_morphological_adjunction():
+    # a raster stores values below the smallest normal float as 0; kept,
+    # 5e-324 would dilate to 0.5 * 5e-324 = 0 beside itself and erode to 0
+    se = StructuringElement({(0, 0): 1.0, (0, 1): 0.5})
+    g = GridImage([[5e-324, 0.0, 0.0]])
+    assert np.array_equal(g.pixels, [[0.0, 0.0, 0.0]])
+    cfg = MorphConfig(PRODUCT, padding="zero")
+    assert g <= erode(se, dilate(se, g, cfg), cfg)
+
+
+def test_subnormal_weight_is_dropped_by_both_paths():
+    # the Toeplitz kernel drops a weight below the smallest normal float, so
+    # the element must too, or erosion by it would meet residuum(5e-324, 0) = 0
+    se = StructuringElement({(0, 0): 1.0, (0, 1): 5e-324})
+    assert dict(se.entries) == {(0, 0): 1.0, (0, 1): 0.0}
+    img = GridImage([[0.5, 0.0]])
+    cfg = MorphConfig(PRODUCT, padding="zero")
+    via_kernel = inverse(toeplitz_kernel(se, 1, 2, cfg), img.element()).values.reshape(1, 2)
+    assert np.array_equal(erode(se, img, cfg).pixels, via_kernel)
+    assert np.array_equal(via_kernel, [[0.5, 0.0]])
 
 
 # --- the Toeplitz bridge to the transform module --------------------------------------

@@ -10,6 +10,7 @@ from qimg import (
     GOEDEL,
     LUKASIEWICZ,
     PRODUCT,
+    DomainError,
     IndexSet,
     Kernel,
     KernelLevel,
@@ -27,6 +28,7 @@ from qimg import (
     kernel_of,
     read_kernel,
     scalar_mul,
+    scalar_residuum,
     write_kernel,
 )
 from qimg.quantale import TINY
@@ -105,8 +107,6 @@ def test_shape_mismatch_rejected():
 
 
 def test_boolean_kernel_entries_must_be_binary():
-    from qimg import DomainError
-
     with pytest.raises(DomainError):
         Kernel(BOOLEAN, X2, Y1, np.array([[1.0], [0.5]]))
 
@@ -152,6 +152,27 @@ def test_subnormal_entry_keeps_the_adjunction(q):
     f = ModuleElement(p.domain, [0.5])
     assert f <= inverse(p, forward(p, f))
     assert np.array_equal(p.values, [[0.0]])
+
+
+def test_subnormal_element_keeps_the_adjunction():
+    # an element stores values below the smallest normal float as 0, as a
+    # kernel does; kept, 5e-324 would map to 0.5 * 5e-324 = 0 and back to 0
+    p = Kernel(PRODUCT, IndexSet(1), IndexSet(1), [[0.5]])
+    f = ModuleElement(p.domain, [5e-324])
+    assert np.array_equal(f.values, [0.0])
+    assert f <= inverse(p, forward(p, f))
+
+
+def test_boolean_operators_reject_grey_elements():
+    eye = identity_kernel(BOOLEAN, IndexSet(2))
+    grey = ModuleElement(IndexSet(2), [0.3, 0.7])
+    for apply in (lambda f: forward(eye, f), lambda g: inverse(eye, g),
+                  lambda f: scalar_mul(BOOLEAN, 1.0, f), lambda f: scalar_residuum(BOOLEAN, 1.0, f)):
+        with pytest.raises(DomainError):
+            apply(grey)
+    binary = ModuleElement(IndexSet(2), [0.0, 1.0])
+    assert np.array_equal(forward(eye, binary).values, binary.values)
+    assert np.array_equal(inverse(eye, binary).values, binary.values)
 
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
