@@ -10,6 +10,7 @@ from .compression import (
     build_block_codebook,
     build_triangular_codebook,
     compress,
+    load_kernel,
     mse,
     psnr,
     read_codebook,

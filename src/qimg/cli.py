@@ -37,11 +37,7 @@ def cmd_gen_codebook(args) -> int:
     m, n = _parse_pair(args.size, "--size")
     a, b = _parse_pair(args.codes, "--codes")
     q = quantale(args.quantale)
-    builder = {
-        "triangular": compression.build_triangular_codebook,
-        "block": compression.build_block_codebook,
-    }[args.builder]
-    cb = builder(q, m, n, a, b)
+    cb = compression._builder(args.builder)(q, m, n, a, b)
     compression.write_codebook(args.out, cb)
     print(f"wrote {args.builder} codebook {m}x{n} -> {a}x{b} ({q.family}) to {args.out}")
     return 0
@@ -87,7 +83,7 @@ def cmd_morphology(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    kernel, _ = transform.read_kernel(args.kernel)
+    kernel = compression.load_kernel(args.kernel)
     result = transform.classify(kernel)
     print(result.level.value)
     if result.epsilon is not None:

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DomainError, ParseError, ShapeError
 from .free_module import IndexSet
 from .grid import GridImage
-from .quantale import BOOLEAN, Quantale
-from .transform import Kernel, _ell, forward, inverse, read_kernel, write_kernel
+from .quantale import BOOLEAN, Quantale, quantale
+from .transform import Kernel, _ell, _read_lines, forward, inverse, read_kernel, write_kernel
 
 __all__ = [
     "Codebook",
@@ -30,6 +30,7 @@ __all__ = [
     "psnr",
     "read_codebook",
     "write_codebook",
+    "load_kernel",
 ]
 
 # "custom" labels hand-written codebook files that no builder generated
@@ -117,10 +118,11 @@ def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Co
     _check_builder_params(q, m, n, a, b, minimum=2)
     hi, ht = _bumps_over(m, a)
     ki, kt = _bumps_over(n, b)
-    shape = (m, n, hi.shape[1], ki.shape[1])
-    x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), shape)
-    y = hi[:, None, :, None] * b + ki[None, :, None, :]
     w = ht[:, None, :, None] * kt[None, :, None, :]
+    nz = w != 0.0  # drop the products with a padding slot of either axis
+    x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), w.shape)[nz]
+    y = (hi[:, None, :, None] * b + ki[None, :, None, :])[nz]
+    w = w[nz]
     kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w))
     return Codebook(kernel, "triangular")
 
@@ -194,13 +196,74 @@ def psnr(a: GridImage, b: GridImage) -> float:
     return 10.0 * math.log10(1.0 / err)
 
 
+# --- codebook files ------------------------------------------------------------
+#
+# A builder's parameters fix every entry of its kernel, so a builder-made
+# codebook is stored as them alone and the kernel is rebuilt on reading:
+#
+#   QCODEBOOK 1
+#   <family> <builder> <m> <n> <a> <b>
+#
+# A "custom" codebook is a QKERNEL 1 file whose "# builder custom m n a b"
+# comment gives the grid shapes; older files of the builders are read too.
+
+CODEBOOK_MAGIC = "QCODEBOOK 1"
+
+
+def _builder(name: str):
+    """The builder function called name, or None for "custom" and unknown names.
+
+    Looked up on each call, so a rebound module attribute (a tracing
+    wrapper, say) is the one called.
+    """
+    return {"triangular": build_triangular_codebook, "block": build_block_codebook}.get(name)
+
+
 def write_codebook(path, cb: Codebook) -> None:
+    """Write cb as its builder's parameters, or as a dense QKERNEL 1 file if custom.
+
+    A codebook labelled with a builder must hold that builder's kernel:
+    only the parameters are written, and reading rebuilds from them.
+    """
     m, n = cb.image_shape
     a, b = cb.code_shape
-    write_kernel(path, cb.kernel, comments=[f"builder {cb.builder} {m} {n} {a} {b}"])
+    if cb.builder == "custom":
+        write_kernel(path, cb.kernel, comments=[f"builder custom {m} {n} {a} {b}"])
+        return
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{CODEBOOK_MAGIC}\n{cb.kernel.q.family} {cb.builder} {m} {n} {a} {b}\n")
+
+
+def _is_codebook_file(path) -> bool:
+    with open(path, "rb") as fh:
+        return fh.readline(64).strip() == CODEBOOK_MAGIC.encode()
+
+
+def _read_qcodebook(path) -> Codebook:
+    lines, _ = _read_lines(path, CODEBOOK_MAGIC)
+    if len(lines) != 1:
+        raise ParseError(f"{path}: expected one parameter line, found {len(lines)} data lines")
+    parts = lines[0].split()
+    if len(parts) != 6:
+        raise ParseError(f"{path}: expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
+    family, name = parts[:2]
+    build = _builder(name)
+    if build is None:
+        raise ParseError(f"{path}: unknown builder {name!r}; expected 'triangular' or 'block'")
+    try:
+        m, n, a, b = (int(tok) for tok in parts[2:])
+    except ValueError:
+        raise ParseError(f"{path}: malformed builder parameters {parts[2:]}") from None
+    try:
+        return build(quantale(family), m, n, a, b)
+    except ValueError as exc:  # DomainError included
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def read_codebook(path) -> Codebook:
+    """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
+    if _is_codebook_file(path):
+        return _read_qcodebook(path)
     kernel, comments = read_kernel(path)
     params = None
     for c in comments:
@@ -222,3 +285,10 @@ def read_codebook(path) -> Codebook:
         return Codebook(kernel._with_index(domain, codomain), name)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def load_kernel(path) -> Kernel:
+    """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
+    if _is_codebook_file(path):
+        return _read_qcodebook(path).kernel
+    return read_kernel(path)[0]

@@ -11,12 +11,17 @@ from qimg import (
     GridImage,
     IndexSet,
     ParseError,
+    build_block_codebook,
+    build_triangular_codebook,
     cli,
     identity_kernel,
+    load_kernel,
+    quantale,
     read_codebook,
     read_kernel,
     read_pgm,
     write_codebook,
+    write_kernel,
     write_pgm,
 )
 from qimg.cli import main
@@ -177,19 +182,37 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sizes,builder",
-    [("4 1", "foo 2 2 1 1"), ("4 4", "block 4 1 2 2")],
-    ids=["unknown-builder", "codes-exceed-image"],
+    "text",
+    [
+        "QKERNEL 1\ngoedel 4 1\n# builder foo 2 2 1 1\n" + "0.5\n" * 4,
+        "QKERNEL 1\ngoedel 4 4\n# builder block 4 1 2 2\n" + "0.5 0.5 0.5 0.5\n" * 4,
+        "QCODEBOOK 1\ngoedel foo 16 16 4 4\n",
+        "QCODEBOOK 1\ngoedel custom 16 16 4 4\n",
+        "QCODEBOOK 1\nfrankian triangular 16 16 4 4\n",
+        "QCODEBOOK 1\nboolean triangular 16 16 4 4\n",
+        "QCODEBOOK 1\ngoedel triangular 16 16.0 4 4\n",
+        "QCODEBOOK 1\ngoedel block 16 16 32 4\n",
+        "QCODEBOOK 1\ngoedel block 16 16 4 4\n0.5\n",
+        "QCODEBOOK 1\n# goedel block 16 16 4 4\n",
+        "QCODEBOOK 1\ngoedel block 16 16 4\n",
+    ],
+    ids=["unknown-builder", "codes-exceed-image", "params-unknown-builder", "params-custom",
+         "params-unknown-family", "params-boolean", "params-non-integer-size",
+         "params-codes-exceed-image", "params-trailing-line", "params-missing-line",
+         "params-missing-value"],
 )
-def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, sizes, builder):
-    nx, ny = map(int, sizes.split())
+def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, text):
     path = tmp_path / "cb.qk"
-    rows = "\n".join(" ".join(["0.5"] * ny) for _ in range(nx))
-    path.write_text(f"QKERNEL 1\ngoedel {sizes}\n# builder {builder}\n{rows}\n")
-    with pytest.raises(ParseError):
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
         read_codebook(path)
+    assert str(path) in str(exc.value)
     assert main(["compress", "--codebook", str(path), str(grey_image), str(tmp_path / "o.pgm")]) == 2
     assert str(path) in capsys.readouterr().err
+    if text.startswith("QCODEBOOK"):
+        # classify reads no builder comment, so only the parameter files fail there
+        assert main(["classify", "--kernel", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 def test_quantale_override_error_names_the_file(tmp_path, grey_image, capsys):
@@ -200,6 +223,57 @@ def test_quantale_override_error_names_the_file(tmp_path, grey_image, capsys):
     assert main(["compress", "--codebook", str(path), "--quantale", "boolean",
                  str(grey_image), str(tmp_path / "o.pgm")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["goedel", "product", "lukasiewicz"])
+@pytest.mark.parametrize("builder", ["triangular", "block"])
+def test_gen_codebook_file_rebuilds_the_kernel(tmp_path, builder, family):
+    path = tmp_path / "cb.qk"
+    assert main(["gen-codebook", "--builder", builder, "--size", "12x10", "--codes", "4x3",
+                 "--quantale", family, "--out", str(path)]) == 0
+    assert path.read_text() == f"QCODEBOOK 1\n{family} {builder} 12 10 4 3\n"
+    build = {"triangular": build_triangular_codebook, "block": build_block_codebook}[builder]
+    want = build(quantale(family), 12, 10, 4, 3)
+    got = read_codebook(path)
+    assert (got.builder, got.image_shape, got.code_shape) == (builder, (12, 10), (4, 3))
+    assert got.kernel.q is want.kernel.q
+    assert np.array_equal(got.kernel.values, want.kernel.values)
+    assert np.array_equal(load_kernel(path).values, want.kernel.values)
+
+
+def _outputs(tmp_path, cb_path, image, tag, extra=()):
+    """The compress and reconstruct output bytes through one codebook file."""
+    small, back = tmp_path / f"{tag}-small.pgm", tmp_path / f"{tag}-back.pgm"
+    assert main(["compress", "--codebook", str(cb_path), *extra, str(image), str(small)]) == 0
+    assert main(["reconstruct", "--codebook", str(cb_path), *extra, str(small), str(back)]) == 0
+    return small.read_bytes(), back.read_bytes()
+
+
+def test_dense_codebook_files_still_load(tmp_path, grey_image, capsys):
+    cb = build_triangular_codebook(quantale("product"), 16, 16, 4, 4)
+    dense, params = tmp_path / "dense.qk", tmp_path / "params.qk"
+    write_kernel(dense, cb.kernel, comments=["builder triangular 16 16 4 4"])
+    write_codebook(params, cb)
+    assert dense.read_text().startswith("QKERNEL 1\n")
+    assert params.read_text().startswith("QCODEBOOK 1\n")
+    back = read_codebook(dense)
+    assert (back.builder, back.image_shape, back.code_shape) == ("triangular", (16, 16), (4, 4))
+    assert np.array_equal(back.kernel.values, cb.kernel.values)
+    for extra in ((), ("--quantale", "lukasiewicz")):
+        assert _outputs(tmp_path, dense, grey_image, "dense", extra) == \
+            _outputs(tmp_path, params, grey_image, "params", extra)
+    printed = []
+    for path in (dense, params):
+        capsys.readouterr()
+        assert main(["classify", "--kernel", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("strong\n")
+    # a rejected --quantale override names the file in either format
+    for path in (dense, params):
+        assert main(["compress", "--codebook", str(path), "--quantale", "boolean",
+                     str(grey_image), str(tmp_path / "o.pgm")]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):

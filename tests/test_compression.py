@@ -254,6 +254,16 @@ def test_codebook_file_round_trip(tmp_path):
     assert back.kernel.q is LUKASIEWICZ
 
 
+def test_large_codebook_file_holds_only_the_parameters(tmp_path):
+    cb = build_triangular_codebook(PRODUCT, 512, 512, 64, 64)
+    path = tmp_path / "cb.qk"
+    write_codebook(path, cb)
+    assert path.stat().st_size < 100
+    back = read_codebook(path).kernel
+    for name in ("row_idx", "row_w", "col_idx", "col_w"):
+        assert np.array_equal(getattr(back, name), getattr(cb.kernel, name))
+
+
 def test_codebook_file_requires_builder_comment(tmp_path):
     from qimg import ParseError, write_kernel
 

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import qimg
+import qimg.cli  # noqa: F401  (the cli workload calls qimg.cli.main)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +34,23 @@ def test_one_morph_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
         if problem:
             failures.append(f"{wl.label(i)}: {problem}")
     assert failures == []
+
+
+def test_one_cli_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # the 16 commands: both builders through gen-codebook, compress,
+    # reconstruct, metrics and classify, morphology on P2 and P5 rasters,
+    # a shape mismatch that must exit 2 and the chain-kernel classify
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import Cli
+
+    wl = Cli(qimg, 9001, str(tmp_path))
+    assert wl.setup() == []
+    failures = []
+    for i in range(wl.cycle):
+        plan = wl.prepare(i)
+        problem = wl.check(i, plan, wl.run(i, plan))
+        if problem:
+            failures.append(f"{wl.label(i)}: {problem}")
+    assert failures == []
+    # builder-made codebooks are stored as their parameters, not as a kernel body
+    assert wl.extra()["codebook_file_bytes"] < 100
