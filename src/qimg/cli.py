@@ -37,7 +37,7 @@ def cmd_gen_codebook(args) -> int:
     m, n = _parse_pair(args.size, "--size")
     a, b = _parse_pair(args.codes, "--codes")
     q = quantale(args.quantale)
-    cb = compression._builder(args.builder)(q, m, n, a, b)
+    cb = compression._build(args.builder, q, m, n, a, b)
     compression.write_codebook(args.out, cb)
     print(f"wrote {args.builder} codebook {m}x{n} -> {a}x{b} ({q.family}) to {args.out}")
     return 0

@@ -103,7 +103,7 @@ def _bumps_over(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     profiles = _hat_profiles(length, _nodes(length, count)).T  # (length, count)
     i, h = np.nonzero(profiles)
-    return _ell(i, h, profiles[i, h], length)
+    return tuple(a.T for a in _ell(i, h, profiles[i, h], length))  # _ell is slot-major
 
 
 def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
@@ -219,6 +219,24 @@ def _builder(name: str):
     return {"triangular": build_triangular_codebook, "block": build_block_codebook}.get(name)
 
 
+def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
+    """Run the builder called name; grids too large to allocate are a ValueError."""
+    try:
+        return _builder(name)(q, m, n, a, b)
+    except MemoryError as exc:
+        raise ValueError(f"codebook {m}x{n} -> {a}x{b} cannot be built: {exc}") from None
+
+
+def _is_built_by(kernel: Kernel, name: str, m: int, n: int, a: int, b: int) -> bool:
+    """True iff the builder called name makes exactly this kernel's stored arrays."""
+    try:
+        made = _build(name, kernel.q, m, n, a, b).kernel
+    except ValueError:  # DomainError included
+        return False
+    return all(np.array_equal(getattr(made, f), getattr(kernel, f))
+               for f in ("row_idx", "row_w", "col_idx", "col_w"))
+
+
 def write_codebook(path, cb: Codebook) -> None:
     """Write cb as its builder's parameters, or as a dense QKERNEL 1 file if custom.
 
@@ -247,15 +265,14 @@ def _read_qcodebook(path) -> Codebook:
     if len(parts) != 6:
         raise ParseError(f"{path}: expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
     family, name = parts[:2]
-    build = _builder(name)
-    if build is None:
+    if _builder(name) is None:
         raise ParseError(f"{path}: unknown builder {name!r}; expected 'triangular' or 'block'")
     try:
         m, n, a, b = (int(tok) for tok in parts[2:])
     except ValueError:
         raise ParseError(f"{path}: malformed builder parameters {parts[2:]}") from None
     try:
-        return build(quantale(family), m, n, a, b)
+        return _build(name, quantale(family), m, n, a, b)
     except ValueError as exc:  # DomainError included
         raise ParseError(f"{path}: {exc}") from None
 
@@ -280,6 +297,8 @@ def read_codebook(path) -> Codebook:
         raise ParseError(f"{path}: malformed builder parameters {params[1:]}") from None
     if m * n != kernel.domain.size or a * b != kernel.codomain.size:
         raise ParseError(f"{path}: builder shapes disagree with the kernel sizes")
+    if _builder(name) is not None and not _is_built_by(kernel, name, m, n, a, b):
+        name = "custom"  # an edited body: a builder label would be written as parameters only
     try:
         domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
         return Codebook(kernel._with_index(domain, codomain), name)

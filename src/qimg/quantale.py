@@ -137,23 +137,27 @@ class _Product(Quantale):
         return x * y
 
     def _residuum(self, x, y):
-        # x = 0 falls under x <= y, so the quotient branch never divides by 0
-        mask = x > y
-        return np.where(mask, y / np.where(mask, x, 1.0), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 falls under x <= y
+            out = np.asarray(y / x)  # writable, also for 0-d operands
+        np.putmask(out, x <= y, 1.0)
+        return out
 
 
 class _Lukasiewicz(Quantale):
     family = "lukasiewicz"
 
     def _mul(self, x, y):
-        out = np.maximum(0.0, x + y - 1.0)
+        out = np.asarray(x + y)  # writable, also for 0-d operands
+        np.maximum(np.subtract(out, 1.0, out=out), 0.0, out=out)
         # x + y - 1 rounds near the unit; the neutral law must be exact
-        out = np.where(x == 1.0, y, out)
-        return np.where(y == 1.0, x, out)
+        np.copyto(out, y, where=x == 1.0)
+        np.copyto(out, x, where=y == 1.0)
+        return out
 
     def _residuum(self, x, y):
         # evaluated as (1 - x) + y so that the unit residuates exactly
-        return np.minimum(1.0, (1.0 - x) + y)
+        out = np.asarray((1.0 - x) + y)  # writable, also for 0-d operands
+        return np.minimum(out, 1.0, out=out)
 
 
 class _Boolean(Quantale):

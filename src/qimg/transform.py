@@ -39,10 +39,10 @@ __all__ = [
 
 
 def _ell(keys: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int):
-    """Pad (key, index, weight) triplets into (n, width) arrays, one row per key.
+    """Pad (key, index, weight) triplets into slot-major (width, n) arrays.
 
-    A key's entries keep their input order.  Slots past them hold index 0
-    and weight 0; width is at least 1, so every row has a slot to reduce over.
+    Column k holds key k's entries in their input order, then padding of
+    index 0 and weight 0; width is at least 1, so every key has a slot.
     """
     counts = np.bincount(keys, minlength=n)
     starts = np.cumsum(counts) - counts
@@ -52,10 +52,10 @@ def _ell(keys: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int):
         order = np.argsort(keys, kind="stable")
         slot = np.empty_like(order)
         slot[order] = np.arange(keys.size) - np.repeat(starts, counts)
-    out_idx = np.zeros((n, max(1, int(counts.max()))), dtype=np.intp)
+    out_idx = np.zeros((max(1, int(counts.max())), n), dtype=np.intp)
     out_w = np.zeros(out_idx.shape)
-    out_idx[keys, slot] = idx
-    out_w[keys, slot] = w
+    out_idx[slot, keys] = idx
+    out_w[slot, keys] = w
     return out_idx, out_w
 
 
@@ -63,21 +63,21 @@ def _ell(keys: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int):
 class Kernel:
     """A map X x Y -> [0,1] tagged with the quantale its transform uses.
 
-    Only the nonzero entries are stored, twice, in padded per-index layouts
-    (ELL): row x lists the y's with p(x, y) > 0 and their weights, column y
-    the x's.  Padding has weight 0, which is exact for every family:
-    mul(f, 0) = 0 is the bottom of forward's join and residuum(0, g) = 1 the
-    top of inverse's meet.  Weights below the smallest normal float are
-    stored as 0: the float product underflows on them, which would break
-    the adjunction.
+    Only the nonzero entries are stored, twice, in padded slot-major layouts
+    (ELL): slot s of row x holds the s-th y with p(x, y) > 0, and slot s of
+    column y the s-th x, so forward and inverse reduce across slots.  Padding
+    has weight 0, which is exact for every family: mul(f, 0) = 0 is the
+    bottom of forward's join and residuum(0, g) = 1 the top of inverse's
+    meet.  Weights below the smallest normal float are stored as 0: the
+    float product underflows on them, which would break the adjunction.
     """
 
     q: Quantale
     domain: IndexSet
     codomain: IndexSet
-    row_idx: np.ndarray  # (|X|, row width): the y's of row x, padded with 0
+    row_idx: np.ndarray  # (row width, |X|): [s, x] is the s-th y of row x, padded with 0
     row_w: np.ndarray  # their weights p(x, y), padded with 0
-    col_idx: np.ndarray  # (|Y|, column width): the x's of column y, padded with 0
+    col_idx: np.ndarray  # (column width, |Y|): [s, y] is the s-th x of column y, padded with 0
     col_w: np.ndarray  # their weights p(x, y), padded with 0
 
     def __init__(self, q: Quantale, domain: IndexSet, codomain: IndexSet, values=None, *,
@@ -106,11 +106,11 @@ class Kernel:
 
     def _dense(self, rows: slice) -> np.ndarray:
         """The dense matrix of the given rows."""
-        idx, w = self.row_idx[rows], self.row_w[rows]
-        out = np.zeros((idx.shape[0], self.codomain.size))
+        idx, w = self.row_idx[:, rows], self.row_w[:, rows]
+        out = np.zeros((idx.shape[1], self.codomain.size))
         # real entries only: a padding slot shares index 0 with a real entry there
-        r, s = np.nonzero(w)
-        out[r, idx[r, s]] = w[r, s]
+        s, r = np.nonzero(w)
+        out[r, idx[s, r]] = w[s, r]
         return out
 
     @property
@@ -122,9 +122,9 @@ class Kernel:
 
     def with_quantale(self, q: Quantale) -> "Kernel":
         """Re-tag the same entries under another family (revalidates them)."""
-        x, s = np.nonzero(self.row_w)
+        x, s = np.nonzero(self.row_w.T)  # x-major, so the slots keep their order
         return Kernel(q, self.domain, self.codomain,
-                      entries=(x, self.row_idx[x, s], self.row_w[x, s]))
+                      entries=(x, self.row_idx[s, x], self.row_w[s, x]))
 
     def _with_index(self, domain: IndexSet, codomain: IndexSet) -> "Kernel":
         """The same stored entries over equally sized index sets with other shapes."""
@@ -160,7 +160,7 @@ def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
     """Apply the transform with kernel p to f in Q^X."""
     _require(f.index == p.domain, f"element over {f.index} fed to kernel domain {p.domain}")
     require_carrier(p.q, f.values)
-    out = p.q._mul(f.values[p.col_idx], p.col_w).max(axis=1)
+    out = p.q._mul(f.values[p.col_idx], p.col_w).max(axis=0)
     return _unchecked(ModuleElement, p.codomain, out)
 
 
@@ -168,7 +168,7 @@ def inverse(p: Kernel, g: ModuleElement) -> ModuleElement:
     """Apply the inverse (residual) transform with kernel p to g in Q^Y."""
     _require(g.index == p.codomain, f"element over {g.index} fed to kernel codomain {p.codomain}")
     require_carrier(p.q, g.values)
-    out = p.q._residuum(p.row_w, g.values[p.row_idx]).min(axis=1)
+    out = p.q._residuum(p.row_w, g.values[p.row_idx]).min(axis=0)
     return _unchecked(ModuleElement, p.domain, out)
 
 
@@ -181,12 +181,12 @@ def compose(p1: Kernel, p2: Kernel) -> Kernel:
     """Kernel of the composite transform: forward(compose(p1,p2), f) = forward(p2, forward(p1, f))."""
     _require(p1.codomain == p2.domain, "inner index sets differ")
     _require(p1.q == p2.q, "kernels live over different quantales")
-    # row x of p1 reaches y = p1.row_idx[x, s], and row y of p2 reaches z
-    w = p1.q._mul(p1.row_w[:, :, None], p2.row_w[p1.row_idx])  # (|X|, s, t)
-    x, s, t = np.nonzero(w)
-    pair = x * p2.codomain.size + p2.row_idx[p1.row_idx[x, s], t]
+    # row x of p1 reaches y = p1.row_idx[s, x], and row y of p2 reaches z
+    w = p1.q._mul(p1.row_w, p2.row_w[:, p1.row_idx])  # (t, s, |X|)
+    t, s, x = np.nonzero(w)
+    pair = x * p2.codomain.size + p2.row_idx[t, p1.row_idx[s, x]]
     order = np.argsort(pair)
-    pair, w = pair[order], w[x, s, t][order]
+    pair, w = pair[order], w[t, s, x][order]
     # several y can link one (x, z): keep the join of their products
     first = np.flatnonzero(np.diff(pair, prepend=-1))
     x, z = np.divmod(pair[first], p2.codomain.size)
@@ -219,10 +219,10 @@ def is_orthogonal(p: Kernel) -> bool:
     Every family's mul is monotone, so a row annihilates iff the product of
     its two largest weights is 0.
     """
-    if p.row_w.shape[1] < 2:
+    if p.row_w.shape[0] < 2:
         return True
-    top = np.sort(p.row_w, axis=1)[:, -2:]
-    return not np.any(p.q._mul(top[:, 0], top[:, 1]) != 0.0)
+    top = np.sort(p.row_w, axis=0)[-2:]
+    return not np.any(p.q._mul(top[0], top[1]) != 0.0)
 
 
 def _augment(root: int, adj: Sequence[Sequence[int]], match_x: dict[int, int]) -> bool:
@@ -256,8 +256,8 @@ def _augment(root: int, adj: Sequence[Sequence[int]], match_x: dict[int, int]) -
 def _normal_witness(p: Kernel) -> tuple[int, ...] | None:
     """Match every column to a distinct row holding 1 there, or report failure."""
     adj: list[list[int]] = [[] for _ in range(p.codomain.size)]
-    xs, slots = np.nonzero(p.row_w == 1.0)  # row-major, so each list ascends in x
-    for x, y in zip(xs.tolist(), p.row_idx[xs, slots].tolist()):
+    xs, slots = np.nonzero(p.row_w.T == 1.0)  # x-major, so each list ascends in x
+    for x, y in zip(xs.tolist(), p.row_idx[slots, xs].tolist()):
         adj[y].append(x)
     match_x: dict[int, int] = {}
     for y in range(len(adj)):
@@ -277,8 +277,8 @@ def _strong_witness(p: Kernel) -> tuple[int, ...] | None:
     first strong row whose unit sits at y.
     """
     w = p.row_w
-    rows = np.flatnonzero((np.count_nonzero(w, axis=1) == 1) & (w.max(axis=1) == 1.0))
-    cols, first = np.unique(p.row_idx[rows, w[rows].argmax(axis=1)], return_index=True)
+    rows = np.flatnonzero((np.count_nonzero(w, axis=0) == 1) & (w.max(axis=0) == 1.0))
+    cols, first = np.unique(p.row_idx[w[:, rows].argmax(axis=0), rows], return_index=True)
     if cols.size != p.codomain.size:
         return None
     return tuple(rows[first].tolist())

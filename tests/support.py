@@ -305,3 +305,37 @@ def toeplitz_values_dense(se, rows: int, cols: int) -> np.ndarray:
             y = (r + dy) * cols + np.arange(c0, c1) + dx
             values[x, y] = v
     return values
+
+
+def epsilon_dense(p: Kernel):
+    """The witness classify reports, found on the dense matrix.
+
+    Strong: each column takes the first (lowest) strong row whose unit sits
+    there.  Otherwise a depth-first augmenting-path matching over the unit
+    entries, columns in order and each column's rows in ascending x, as
+    the matcher runs; None if some column goes unmatched.
+    """
+    vals = p.values
+    nx, ny = vals.shape
+    strong = [x for x in range(nx) if np.count_nonzero(vals[x]) == 1 and vals[x].max() == 1.0]
+    first = {}
+    for x in strong:
+        first.setdefault(int(np.argmax(vals[x])), x)
+    if len(first) == ny:
+        return tuple(first[y] for y in range(ny))
+    adj = [[x for x in range(nx) if vals[x, y] == 1.0] for y in range(ny)]
+    match_x: dict[int, int] = {}
+
+    def augment(y, seen):
+        for x in adj[y]:
+            if x not in seen:
+                seen.add(x)
+                if x not in match_x or augment(match_x[x], seen):
+                    match_x[x] = y
+                    return True
+        return False
+
+    for y in range(ny):
+        if not augment(y, set()):
+            return None
+    return tuple(sorted(match_x, key=match_x.get))

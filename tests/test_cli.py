@@ -10,6 +10,7 @@ from qimg import (
     Codebook,
     GridImage,
     IndexSet,
+    Kernel,
     ParseError,
     build_block_codebook,
     build_triangular_codebook,
@@ -195,11 +196,15 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
         "QCODEBOOK 1\ngoedel block 16 16 4 4\n0.5\n",
         "QCODEBOOK 1\n# goedel block 16 16 4 4\n",
         "QCODEBOOK 1\ngoedel block 16 16 4\n",
+        # sizes whose grids cannot even be addressed: the allocation fails at once
+        "QCODEBOOK 1\ngoedel triangular 1000000000000000 1000000000000000 2 2\n",
+        "QCODEBOOK 1\nproduct block 1000000000000000 1000000000000000 2 2\n",
     ],
     ids=["unknown-builder", "codes-exceed-image", "params-unknown-builder", "params-custom",
          "params-unknown-family", "params-boolean", "params-non-integer-size",
          "params-codes-exceed-image", "params-trailing-line", "params-missing-line",
-         "params-missing-value"],
+         "params-missing-value", "params-unallocatable-triangular",
+         "params-unallocatable-block"],
 )
 def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, text):
     path = tmp_path / "cb.qk"
@@ -213,6 +218,15 @@ def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys
         # classify reads no builder comment, so only the parameter files fail there
         assert main(["classify", "--kernel", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("builder", ["triangular", "block"])
+def test_gen_codebook_of_unallocatable_size_exits_2(tmp_path, capsys, builder):
+    out = tmp_path / "cb.qk"
+    assert main(["gen-codebook", "--builder", builder, "--size",
+                 "1000000000000000x1000000000000000", "--codes", "2x2", "--out", str(out)]) == 2
+    assert "cannot be built" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quantale_override_error_names_the_file(tmp_path, grey_image, capsys):
@@ -274,6 +288,28 @@ def test_dense_codebook_files_still_load(tmp_path, grey_image, capsys):
         assert main(["compress", "--codebook", str(path), "--quantale", "boolean",
                      str(grey_image), str(tmp_path / "o.pgm")]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+def test_edited_dense_codebook_keeps_its_body(tmp_path):
+    # a builder comment over a body the builder does not make reads as custom,
+    # so writing it again keeps the edited entry instead of the bare parameters
+    cb = build_block_codebook(quantale("goedel"), 4, 4, 2, 2)
+    values = cb.kernel.values.copy()
+    values[0, 0] = 0.5
+    edited = tmp_path / "edited.qk"
+    kernel = Kernel(cb.kernel.q, cb.kernel.domain, cb.kernel.codomain, values)
+    write_kernel(edited, kernel, comments=["builder block 4 4 2 2"])
+    back = read_codebook(edited)
+    assert (back.builder, back.image_shape, back.code_shape) == ("custom", (4, 4), (2, 2))
+    again = tmp_path / "again.qk"
+    write_codebook(again, back)
+    assert again.read_text().startswith("QKERNEL 1\n")
+    final = read_codebook(again)
+    assert final.builder == "custom"
+    assert np.array_equal(final.kernel.values, values)
+    # the unedited body keeps its builder label
+    write_kernel(edited, cb.kernel, comments=["builder block 4 4 2 2"])
+    assert read_codebook(edited).builder == "block"
 
 
 def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):

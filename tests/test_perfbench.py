@@ -19,6 +19,24 @@ def test_tracer_finds_every_traced_function(monkeypatch):
         tracer.uninstall()
 
 
+def test_one_codec_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # set-up builds and classifies the six 128^2 -> 32^2 codebooks; each op
+    # compresses and reconstructs, and check() holds the dominance and
+    # right-inverse laws
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import Codec
+
+    wl = Codec(qimg, 9001, str(tmp_path))
+    assert wl.setup() == []
+    failures = []
+    for i in range(wl.cycle):
+        pixels = wl.prepare(i)
+        problem = wl.check(i, pixels, wl.run(i, pixels))
+        if problem:
+            failures.append(f"{wl.label(i)}: {problem}")
+    assert failures == []
+
+
 def test_one_morph_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     # the 36 ops walk every element, family and padding once; check() holds
     # the extensivity laws and, for boolean, literal set morphology

@@ -39,6 +39,7 @@ from support import (
     classify_bruteforce,
     close,
     compose_dense,
+    epsilon_dense,
     forward_dense,
     inverse_dense,
     is_orthogonal_dense,
@@ -291,6 +292,26 @@ def test_classify_matches_exhaustive_oracle(q):
                 assert witness_satisfies(p, got.epsilon, got.level.value)
 
 
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_witness_matches_the_dense_matcher_oracle(q):
+    # units behind other entries of their rows sit in slots > 0, so a matcher
+    # that tried its rows in slot order rather than ascending x would pick
+    # another (equally valid) epsilon, and qimg classify would print it
+    rng = np.random.default_rng(34)
+    palette = (0.0, 1.0) if q is BOOLEAN else (0.0, 0.0, 0.4, 1.0)
+    levels = set()
+    for _ in range(300):
+        ny = int(rng.integers(1, 6))
+        nx = int(rng.integers(ny, 9))
+        vals = rng.choice(np.asarray(palette), size=(nx, ny))
+        vals[:, 0] = np.maximum(vals[:, 0], rng.choice([0.0, 0.5 if q is not BOOLEAN else 1.0], nx))
+        p = Kernel(q, IndexSet(nx), IndexSet(ny), vals)
+        got = classify(p)
+        levels.add(got.level)
+        assert got.epsilon == epsilon_dense(p)
+    assert KernelLevel.NORMAL in levels
+
+
 def test_long_augmenting_path_classifies_without_recursion():
     p = chain_kernel(GOEDEL, 1501)
     result = classify(p)
@@ -319,7 +340,7 @@ def weights(q):
 def kernel_values(draw, q, nx: int, ny: int) -> np.ndarray:
     """Dense entries shaped to stress the padded layouts."""
     vals = draw(arrays(float, (nx, ny), elements=weights(q)))
-    layout = draw(st.sampled_from(["holes", "empty", "dense", "column0"]))
+    layout = draw(st.sampled_from(["holes", "empty", "dense", "column0", "dense_row", "dense_col"]))
     if layout == "holes":  # whole rows and columns of zeros
         vals[draw(arrays(bool, nx)), :] = 0.0
         vals[:, draw(arrays(bool, ny))] = 0.0
@@ -327,10 +348,19 @@ def kernel_values(draw, q, nx: int, ny: int) -> np.ndarray:
         vals[:] = 0.0
     elif layout == "dense":  # no padding at all
         vals[vals < TINY] = 1.0
-    else:  # a lone entry in column 0 beside padding that also points at column 0
+    elif layout == "column0":  # a lone entry in column 0 beside padding that also points at column 0
         vals[0, :] = 0.0
         vals[0, 0] = 1.0
         vals[-1, vals[-1] < TINY] = 1.0
+    else:  # one full row (column) beside at most one entry per other row and column
+        full = np.where(vals < TINY, 1.0, vals)
+        vals[~np.eye(nx, ny, dtype=bool)] = 0.0
+        if layout == "dense_row":
+            r = draw(st.integers(0, nx - 1))
+            vals[r] = full[r]
+        else:
+            c = draw(st.integers(0, ny - 1))
+            vals[:, c] = full[:, c]
     return vals
 
 
