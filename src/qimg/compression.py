@@ -18,7 +18,7 @@ from .errors import DomainError, ParseError, ShapeError
 from .free_module import IndexSet
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, quantale
-from .transform import Kernel, _ell, _read_lines, forward, inverse, read_kernel, write_kernel
+from .transform import Kernel, _read_lines, forward, inverse, read_kernel, write_kernel
 
 __all__ = [
     "Codebook",
@@ -75,35 +75,19 @@ def _nodes(length: int, count: int) -> np.ndarray:
     return np.array([math.floor(h * step + 0.5) for h in range(count)], dtype=int)
 
 
-def _hat_profiles(length: int, nodes: np.ndarray) -> np.ndarray:
-    """One triangular bump per node: 1 at its node, 0 at the neighbouring ones."""
-    count = len(nodes)
-    profiles = np.zeros((count, length))
-    i = np.arange(length)
-    for h in range(count):
-        node = nodes[h]
-        if h > 0:
-            left = nodes[h - 1]
-            rising = (i > left) & (i <= node)
-            profiles[h, rising] = (i[rising] - left) / (node - left)
-        if h < count - 1:
-            right = nodes[h + 1]
-            falling = (i >= node) & (i < right)
-            profiles[h, falling] = (right - i[falling]) / (right - node)
-        profiles[h, node] = 1.0
-    return profiles
+def _hat_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position, the lower of the two bumps that cover it, and both heights.
 
-
-def _bumps_over(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per position, the bumps covering it and their heights, padded with 0.
-
-    A position lies between two neighbouring nodes, so at most two bumps
-    cover it: both arrays are (length, 2), or (length, 1) if every position
-    is a node.
+    Bump h is 1 at node h and falls linearly to 0 at the neighbouring nodes,
+    so a position between nodes h and h + 1 lies under those two bumps only.
+    Returns h, capped at count - 2, and a (length, 2) array of the heights of
+    bumps h and h + 1 there; at a node one of the two is 0.
     """
-    profiles = _hat_profiles(length, _nodes(length, count)).T  # (length, count)
-    i, h = np.nonzero(profiles)
-    return tuple(a.T for a in _ell(i, h, profiles[i, h], length))  # _ell is slot-major
+    nodes = _nodes(length, count)
+    i = np.arange(length)
+    h = np.minimum(np.searchsorted(nodes, i, side="right") - 1, count - 2)
+    left, right = nodes[h], nodes[h + 1]
+    return h, np.stack([(right - i) / (right - left), (i - left) / (right - left)], axis=1)
 
 
 def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
@@ -116,12 +100,13 @@ def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Co
     pixel, at most 2 x 2, are formed.
     """
     _check_builder_params(q, m, n, a, b, minimum=2)
-    hi, ht = _bumps_over(m, a)
-    ki, kt = _bumps_over(n, b)
+    hi, ht = _hat_axis(m, a)
+    ki, kt = _hat_axis(n, b)
     w = ht[:, None, :, None] * kt[None, :, None, :]
-    nz = w != 0.0  # drop the products with a padding slot of either axis
+    nz = w != 0.0  # drop the products with a zero height on either axis
     x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), w.shape)[nz]
-    y = (hi[:, None, :, None] * b + ki[None, :, None, :])[nz]
+    hs, ks = hi[:, None] + np.arange(2), ki[:, None] + np.arange(2)  # slot s holds bump h + s
+    y = (hs[:, None, :, None] * b + ks[None, :, None, :])[nz]
     w = w[nz]
     kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w))
     return Codebook(kernel, "triangular")
@@ -233,8 +218,7 @@ def _is_built_by(kernel: Kernel, name: str, m: int, n: int, a: int, b: int) -> b
         made = _build(name, kernel.q, m, n, a, b).kernel
     except ValueError:  # DomainError included
         return False
-    return all(np.array_equal(getattr(made, f), getattr(kernel, f))
-               for f in ("row_idx", "row_w", "col_idx", "col_w"))
+    return made._stores_same(kernel)
 
 
 def write_codebook(path, cb: Codebook) -> None:

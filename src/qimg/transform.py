@@ -46,17 +46,28 @@ def _ell(keys: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int):
     """
     counts = np.bincount(keys, minlength=n)
     starts = np.cumsum(counts) - counts
-    if np.all(keys[1:] >= keys[:-1]):
-        slot = np.arange(keys.size) - starts[keys]
-    else:
-        order = np.argsort(keys, kind="stable")
-        slot = np.empty_like(order)
-        slot[order] = np.arange(keys.size) - np.repeat(starts, counts)
+    order = np.argsort(keys, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(keys.size) - np.repeat(starts, counts)
     out_idx = np.zeros((max(1, int(counts.max())), n), dtype=np.intp)
     out_w = np.zeros(out_idx.shape)
     out_idx[slot, keys] = idx
     out_w[slot, keys] = w
     return out_idx, out_w
+
+
+def _check_entries(x: np.ndarray, y: np.ndarray, w: np.ndarray, nx: int, ny: int) -> None:
+    """Reject entries of unequal lengths, non-integer or out-of-range indices, or a repeated pair."""
+    if not x.size == y.size == w.size:
+        raise ShapeError(f"kernel entries hold {x.size} x's, {y.size} y's and {w.size} weights")
+    for name, idx, size in (("x", x, nx), ("y", y, ny)):
+        if idx.dtype.kind not in "iu":
+            raise ShapeError(f"kernel entry {name} indices must be integers, not {idx.dtype}")
+        if idx.size and not (idx.min() >= 0 and idx.max() < size):
+            raise ShapeError(f"kernel entry {name} indices must lie in 0..{size - 1}")
+    pairs = np.sort(x * ny + y)
+    if np.any(pairs[1:] == pairs[:-1]):
+        raise ShapeError("kernel entries repeat an (x, y) pair")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -99,6 +110,7 @@ class Kernel:
             w = arr.reshape(-1)[flat]
         else:
             x, y, w = (np.asarray(a).reshape(-1) for a in entries)
+            _check_entries(x, y, w, domain.size, codomain.size)
             q.check(w)
         keep = w >= TINY
         x, y, w = x[keep], y[keep], w[keep]
@@ -121,15 +133,20 @@ class Kernel:
         return out
 
     def with_quantale(self, q: Quantale) -> "Kernel":
-        """Re-tag the same entries under another family (revalidates them)."""
-        x, s = np.nonzero(self.row_w.T)  # x-major, so the slots keep their order
-        return Kernel(q, self.domain, self.codomain,
-                      entries=(x, self.row_idx[s, x], self.row_w[s, x]))
+        """The same stored entries under another family; they are revalidated, not copied."""
+        q.check(self.row_w)  # the padding weight 0 lies in every carrier
+        return _unchecked(Kernel, q, self.domain, self.codomain,
+                          self.row_idx, self.row_w, self.col_idx, self.col_w)
 
     def _with_index(self, domain: IndexSet, codomain: IndexSet) -> "Kernel":
         """The same stored entries over equally sized index sets with other shapes."""
         return _unchecked(Kernel, self.q, domain, codomain,
                           self.row_idx, self.row_w, self.col_idx, self.col_w)
+
+    def _stores_same(self, other: "Kernel") -> bool:
+        """True iff other stores bit for bit the same entries in the same slots."""
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("row_idx", "row_w", "col_idx", "col_w"))
 
     def __repr__(self) -> str:
         return f"Kernel({self.q.family}, |X|={self.domain.size}, |Y|={self.codomain.size})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from qimg import (
     Kernel,
     ModuleElement,
 )
-from qimg.compression import _hat_profiles, _nodes
 from qimg.quantale import TINY
 
 ALL_FAMILIES = (GOEDEL, PRODUCT, LUKASIEWICZ, BOOLEAN)
@@ -263,6 +263,31 @@ def is_orthogonal_dense(p: Kernel) -> bool:
         if np.any(prods != 0.0):
             return False
     return True
+
+
+def _nodes(length: int, count: int) -> list[int]:
+    """count node positions spread over 0..length-1, rounded half-up."""
+    step = (length - 1) / (count - 1)
+    return [math.floor(h * step + 0.5) for h in range(count)]
+
+
+def _hat_profiles(length: int, nodes: list[int]) -> np.ndarray:
+    """One triangular bump per node: 1 at its node, 0 at the neighbouring ones."""
+    count = len(nodes)
+    profiles = np.zeros((count, length))
+    i = np.arange(length)
+    for h in range(count):
+        node = nodes[h]
+        if h > 0:
+            left = nodes[h - 1]
+            rising = (i > left) & (i <= node)
+            profiles[h, rising] = (i[rising] - left) / (node - left)
+        if h < count - 1:
+            right = nodes[h + 1]
+            falling = (i >= node) & (i < right)
+            profiles[h, falling] = (right - i[falling]) / (right - node)
+        profiles[h, node] = 1.0
+    return profiles
 
 
 def triangular_values_dense(m: int, n: int, a: int, b: int) -> np.ndarray:

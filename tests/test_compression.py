@@ -14,6 +14,8 @@ from qimg import (
     Codebook,
     DomainError,
     GridImage,
+    IndexSet,
+    Kernel,
     KernelLevel,
     ShapeError,
     build_block_codebook,
@@ -43,11 +45,26 @@ def random_image(rng, shape):
 # --- builders ------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", REAL_FAMILIES, ids=lambda q: q.family)
-@pytest.mark.parametrize("sizes", [(5, 5, 3, 3), (9, 14, 4, 5), (32, 32, 8, 8), (6, 4, 6, 4)])
+@pytest.mark.parametrize("sizes", [
+    (5, 5, 3, 3), (9, 14, 4, 5), (32, 32, 8, 8), (6, 4, 6, 4),
+    (2, 9, 2, 4), (2, 2, 2, 2),  # an axis of length 2
+    (7, 3, 7, 3),  # every position is a node
+    (1000, 4, 7, 2),  # wide gaps between nodes
+    (13, 17, 5, 7), (31, 29, 11, 3),  # prime sizes
+])
 def test_builders_match_their_dense_construction(q, sizes):
-    assert np.array_equal(build_triangular_codebook(q, *sizes).kernel.values,
-                          triangular_values_dense(*sizes))
-    assert np.array_equal(build_block_codebook(q, *sizes).kernel.values, block_values_dense(*sizes))
+    m, n, a, b = sizes
+    domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
+    for build, dense in ((build_triangular_codebook, triangular_values_dense),
+                         (build_block_codebook, block_values_dense)):
+        made = build(q, *sizes).kernel
+        want = dense(*sizes)
+        assert np.array_equal(made.values, want)
+        # the stored arrays too, slot order and dtypes included
+        from_dense = Kernel(q, domain, codomain, want)
+        for f in ("row_idx", "row_w", "col_idx", "col_w"):
+            got, ref = getattr(made, f), getattr(from_dense, f)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), f
     assert np.array_equal(build_block_codebook(q, 7, 5, 1, 1).kernel.values,
                           block_values_dense(7, 5, 1, 1))
 

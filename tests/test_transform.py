@@ -1,10 +1,14 @@
 """Transforms, their adjoint pairs, kernel classification and extraction."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qimg
 from qimg import (
     BOOLEAN,
     GOEDEL,
@@ -110,6 +114,29 @@ def test_shape_mismatch_rejected():
 def test_boolean_kernel_entries_must_be_binary():
     with pytest.raises(DomainError):
         Kernel(BOOLEAN, X2, Y1, np.array([[1.0], [0.5]]))
+
+
+@pytest.mark.parametrize("x, y, w, problem", [
+    ([2], [0], [0.5], "x indices"),
+    ([-1], [0], [0.5], "x indices"),
+    ([0], [1], [0.5], "y indices"),
+    ([0.0], [0], [0.5], "integers"),
+    ([1, 0, 1], [0, 0, 0], [1.0, 0.5, 1.0], "repeat an"),
+    ([0, 1], [0], [0.5, 0.5], "entries hold"),
+], ids=["x-past-end", "x-negative", "y-past-end", "x-float", "repeated-pair", "unequal-lengths"])
+def test_kernel_entries_are_checked(x, y, w, problem):
+    with pytest.raises(ShapeError, match=problem):
+        Kernel(GOEDEL, X2, Y1, entries=(np.array(x), np.array(y), np.array(w)))
+
+
+def test_with_quantale_shares_the_stored_arrays():
+    p = hand_kernel()
+    retagged = p.with_quantale(PRODUCT)
+    assert retagged.q is PRODUCT
+    for f in ("row_idx", "row_w", "col_idx", "col_w"):
+        assert np.shares_memory(getattr(retagged, f), getattr(p, f))
+    with pytest.raises(DomainError):
+        p.with_quantale(BOOLEAN)
 
 
 # --- adjoint pair -------------------------------------------------------------
@@ -487,3 +514,20 @@ def test_kernel_file_rejects_malformed(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         read_kernel(path)
+
+
+# --- layout boundary ------------------------------------------------------------
+
+def test_only_transform_names_the_kernel_layout():
+    # the stored ELL arrays are transform.py's own: other modules go through Kernel
+    layout = {"_ell", "row_idx", "row_w", "col_idx", "col_w"}
+    checked = []
+    for path in sorted(Path(qimg.__file__).parent.glob("*.py")):
+        if path.name == "transform.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # identifiers, attribute and import names, and string constants alike
+        named = {v for node in ast.walk(tree) for _, v in ast.iter_fields(node) if isinstance(v, str)}
+        assert not named & layout, f"{path.name} names {sorted(named & layout)}"
+        checked.append(path.name)
+    assert "compression.py" in checked
