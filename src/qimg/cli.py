@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import compression, morphology, pgm, transform
-from .errors import DomainError, ParseError, ShapeError
+from .errors import _names_file
 from .quantale import FAMILIES, quantale
 
 __all__ = ["main", "build_parser"]
@@ -43,28 +43,20 @@ def cmd_gen_codebook(args) -> int:
     return 0
 
 
-def _load_codebook(args) -> compression.Codebook:
-    cb = compression.read_codebook(args.codebook)
-    if args.quantale is not None and args.quantale != cb.kernel.q.family:
-        try:
-            kernel = cb.kernel.with_quantale(quantale(args.quantale))
-        except DomainError as exc:
-            raise ParseError(f"{args.codebook}: {exc}") from None
-        cb = compression.Codebook(kernel, cb.builder)
+@_names_file
+def _load_codebook(path: str, family: str | None) -> compression.Codebook:
+    """The codebook in path, retagged with family unless that is None."""
+    cb = compression.read_codebook(path)
+    if family is not None and family != cb.kernel.q.family:
+        cb = compression.Codebook(cb.kernel.with_quantale(quantale(family)), cb.builder)
     return cb
 
 
-def cmd_compress(args) -> int:
-    cb = _load_codebook(args)
+def cmd_codec(args) -> int:
+    cb = _load_codebook(args.codebook, args.quantale)
+    op = {"compress": compression.compress, "reconstruct": compression.reconstruct}[args.command]
     img = pgm.read_pgm(args.input)
-    pgm.write_pgm(args.output, compression.compress(cb, img))
-    return 0
-
-
-def cmd_reconstruct(args) -> int:
-    cb = _load_codebook(args)
-    comp = pgm.read_pgm(args.input)
-    pgm.write_pgm(args.output, compression.reconstruct(cb, comp))
+    pgm.write_pgm(args.output, op(cb, img))
     return 0
 
 
@@ -118,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_codebook)
 
-    for name, func, blurb in (
-        ("compress", cmd_compress, "compress a PGM image through a codebook"),
-        ("reconstruct", cmd_reconstruct, "reconstruct a PGM image from its compression"),
+    for name, blurb in (
+        ("compress", "compress a PGM image through a codebook"),
+        ("reconstruct", "reconstruct a PGM image from its compression"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--codebook", required=True)
@@ -128,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the family recorded in the codebook file")
         p.add_argument("input")
         p.add_argument("output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_codec)
 
     for name in ("dilate", "erode", "open", "close"):
         p = sub.add_parser(name, help=f"{name} a PGM image by a structuring element")
@@ -157,7 +149,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ShapeError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # DomainError, ShapeError and ParseError included
         print(f"qimg: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError
+from .errors import DomainError, ParseError, ShapeError, _names_file
 from .free_module import IndexSet
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, quantale
-from .transform import Kernel, _read_lines, forward, inverse, read_kernel, write_kernel
+from .transform import (KERNEL_MAGIC, Kernel, _parse_kernel, _read_lines, forward, inverse,
+                        read_kernel, write_kernel)
 
 __all__ = [
     "Codebook",
@@ -67,6 +68,9 @@ def _check_builder_params(q: Quantale, m: int, n: int, a: int, b: int, minimum: 
         raise DomainError("codebook builders produce fractional entries; pick a real family")
     if not (minimum <= a <= m and minimum <= b <= n):
         raise ValueError(f"need {minimum} <= a <= m and {minimum} <= b <= n, got {(m, n, a, b)}")
+    if m * n > np.iinfo(np.intp).max:
+        raise ValueError(f"codebook {m}x{n} -> {a}x{b} cannot be built: "
+                         f"{m * n} pixels exceed the index range")
 
 
 def _nodes(length: int, count: int) -> np.ndarray:
@@ -241,6 +245,15 @@ def _is_codebook_file(path) -> bool:
         return fh.readline(64).strip() == CODEBOOK_MAGIC.encode()
 
 
+def _params(path, fields: list[str]) -> tuple[str, int, int, int, int]:
+    """The builder name and grid sizes of the fields '<builder> <m> <n> <a> <b>'."""
+    try:
+        m, n, a, b = (int(tok) for tok in fields[1:])
+    except ValueError:
+        raise ParseError(f"{path}: malformed builder parameters {fields[1:]}") from None
+    return fields[0], m, n, a, b
+
+
 def _read_qcodebook(path) -> Codebook:
     lines, _ = _read_lines(path, CODEBOOK_MAGIC)
     if len(lines) != 1:
@@ -248,48 +261,32 @@ def _read_qcodebook(path) -> Codebook:
     parts = lines[0].split()
     if len(parts) != 6:
         raise ParseError(f"{path}: expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
-    family, name = parts[:2]
-    if _builder(name) is None:
-        raise ParseError(f"{path}: unknown builder {name!r}; expected 'triangular' or 'block'")
-    try:
-        m, n, a, b = (int(tok) for tok in parts[2:])
-    except ValueError:
-        raise ParseError(f"{path}: malformed builder parameters {parts[2:]}") from None
-    try:
-        return _build(name, quantale(family), m, n, a, b)
-    except ValueError as exc:  # DomainError included
-        raise ParseError(f"{path}: {exc}") from None
+    if _builder(parts[1]) is None:
+        raise ParseError(f"{path}: unknown builder {parts[1]!r}; expected 'triangular' or 'block'")
+    name, m, n, a, b = _params(path, parts[1:])
+    return _build(name, quantale(parts[0]), m, n, a, b)
 
 
+@_names_file
 def read_codebook(path) -> Codebook:
     """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
     if _is_codebook_file(path):
         return _read_qcodebook(path)
-    kernel, comments = read_kernel(path)
-    params = None
+    lines, comments = _read_lines(path, KERNEL_MAGIC)
     for c in comments:
         parts = c.split()
         if len(parts) == 6 and parts[0] == "builder":
-            params = parts[1:]
             break
-    if params is None:
+    else:
         raise ParseError(f"{path}: no '# builder <name> <m> <n> <a> <b>' comment line")
-    name = params[0]
-    try:
-        m, n, a, b = (int(tok) for tok in params[1:])
-    except ValueError:
-        raise ParseError(f"{path}: malformed builder parameters {params[1:]}") from None
-    if m * n != kernel.domain.size or a * b != kernel.codomain.size:
-        raise ParseError(f"{path}: builder shapes disagree with the kernel sizes")
+    name, m, n, a, b = _params(path, parts[1:])
+    kernel = _parse_kernel(path, lines, ((m, n), (a, b)))
     if _builder(name) is not None and not _is_built_by(kernel, name, m, n, a, b):
         name = "custom"  # an edited body: a builder label would be written as parameters only
-    try:
-        domain, codomain = IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b))
-        return Codebook(kernel._with_index(domain, codomain), name)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return Codebook(kernel, name)
 
 
+@_names_file
 def load_kernel(path) -> Kernel:
     """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
     if _is_codebook_file(path):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class DomainError(ValueError):
     """A value lies outside the carrier of the quantale in force."""
@@ -17,3 +19,16 @@ class ParseError(ValueError):
             message = f"{message} (byte {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def _names_file(reader):
+    """reader(path, ...) reporting every ValueError as a ParseError that names the path."""
+    @functools.wraps(reader)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except ParseError:  # names the file already
+            raise
+        except ValueError as exc:  # DomainError, ShapeError and UnicodeDecodeError included
+            raise ParseError(f"{path}: {exc}") from None
+    return wrapper

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import ParseError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import require_carrier, unit_carrier
@@ -86,7 +86,9 @@ def reflect(se: StructuringElement) -> StructuringElement:
 
 # Both operators pad the raster once, by the element's radius r, so every
 # offset is a slice view of one canvas; the edge values of ``replicate`` do
-# not depend on the pad width.  Offsets of weight 0 are skipped: mul(0, f)
+# not depend on the pad width.  Offsets are first clamped to the raster's
+# extent, so r never exceeds it: a longer shift reads only padding, as a
+# shift by the extent does.  Offsets of weight 0 are skipped: mul(0, f)
 # is the bottom of dilation's join and residuum(0, f) the top of erosion's
 # meet.  The views of one weight v are folded with max (min) first and
 # multiplied (residuated) by v once: on floats every _mul(v, .) and
@@ -100,13 +102,13 @@ def reflect(se: StructuringElement) -> StructuringElement:
 
 def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empty: float):
     """out(y) = fold over the offsets d of act(se(d), img(y + sign * d)); empty if none."""
+    rows, cols = img.shape
     levels: dict[float, list[tuple[int, int]]] = {}  # nonzero weight -> its offsets
-    for offset, v in se.items():
+    for (dy, dx), v in se.items():
         if v != 0.0:
-            levels.setdefault(v, []).append(offset)
+            levels.setdefault(v, []).append((min(max(dy, -rows), rows), min(max(dx, -cols), cols)))
     require_carrier(cfg.q, np.array(list(levels)))
     require_carrier(cfg.q, img.pixels)
-    rows, cols = img.shape
     out = np.full(img.shape, empty)
     if not levels:
         return _unchecked(GridImage, out)
@@ -206,6 +208,7 @@ def write_sel(path, se: StructuringElement) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_sel(path) -> StructuringElement:
     lines, _ = _read_lines(path, SEL_MAGIC)
     entries = {}
@@ -220,7 +223,4 @@ def read_sel(path) -> StructuringElement:
         entries[(dy, dx)] = v
     if not entries:
         raise ParseError(f"{path}: no entries")
-    try:
-        return StructuringElement(entries)
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return StructuringElement(entries)

@@ -71,14 +71,10 @@ class Quantale:
         require_unit(np.asarray(x, dtype=float), f"values of the {self.family} quantale")
 
     def _operand(self, x: Values) -> np.ndarray:
-        """x as a checked float array with subnormals flushed to 0.
-
-        The float product underflows on a subnormal operand (0.5 * 5e-324 is
-        0), which would break the adjunction between mul and residuum.
-        """
+        """x as a checked float array with subnormals flushed to 0."""
         arr = np.array(x, dtype=float)
-        self.check(arr)
-        return np.where(arr < TINY, BOTTOM, arr)
+        self.check(arr)  # first: under BOOLEAN a subnormal is a grey value, not a 0
+        return unit_carrier(arr, f"values of the {self.family} quantale")
 
     def mul(self, x: Values, y: Values) -> Values:
         """The t-norm x * y, elementwise."""
@@ -160,19 +156,13 @@ class _Lukasiewicz(Quantale):
         return np.minimum(out, 1.0, out=out)
 
 
-class _Boolean(Quantale):
-    """Classical two-valued logic; every operation stays inside {0, 1}."""
+class _Boolean(_Goedel):
+    """Classical two-valued logic: on {0, 1} the Goedel operations are the Boolean ones."""
 
     family = "boolean"
 
     def check(self, x):
         require_carrier(self, np.asarray(x, dtype=float))
-
-    def _mul(self, x, y):
-        return np.minimum(x, y)
-
-    def _residuum(self, x, y):
-        return np.where(x <= y, 1.0, 0.0)
 
 
 GOEDEL = _Goedel()

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError
+from .errors import ParseError, ShapeError, _names_file
 from .free_module import IndexSet, ModuleElement, _fill, _unchecked, delta
 from .quantale import TINY, Quantale, quantale, require_carrier
 
@@ -136,11 +136,6 @@ class Kernel:
         """The same stored entries under another family; they are revalidated, not copied."""
         q.check(self.row_w)  # the padding weight 0 lies in every carrier
         return _unchecked(Kernel, q, self.domain, self.codomain,
-                          self.row_idx, self.row_w, self.col_idx, self.col_w)
-
-    def _with_index(self, domain: IndexSet, codomain: IndexSet) -> "Kernel":
-        """The same stored entries over equally sized index sets with other shapes."""
-        return _unchecked(Kernel, self.q, domain, codomain,
                           self.row_idx, self.row_w, self.col_idx, self.col_w)
 
     def _stores_same(self, other: "Kernel") -> bool:
@@ -344,11 +339,8 @@ def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
 
 def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
     """Data lines and comment texts after the magic line, stripped; blank lines dropped."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
     if not raw or raw[0].strip() != magic:
         raise ParseError(f"{path}: missing '{magic}' header")
     stripped = [ln.strip() for ln in raw[1:]]
@@ -369,21 +361,21 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
-def read_kernel(path) -> tuple[Kernel, list[str]]:
-    """Parse a QKERNEL file; returns the kernel and any comment lines."""
-    lines, comments = _read_lines(path, KERNEL_MAGIC)
+def _parse_kernel(path, lines: list[str], shapes=(None, None)) -> Kernel:
+    """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
+
+    A shape that does not cover its header size fails before the body is parsed.
+    """
     if not lines:
         raise ParseError(f"{path}: missing size header line")
     head = lines[0].split()
     if len(head) != 3:
         raise ParseError(f"{path}: expected '<family> <|X|> <|Y|>', got {lines[0]!r}")
-    try:
-        q = quantale(head[0])
-        nx, ny = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    q = quantale(head[0])
+    nx, ny = int(head[1]), int(head[2])
     if nx < 1 or ny < 1:
         raise ParseError(f"{path}: kernel sizes must be positive")
+    domain, codomain = IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
     rows = lines[1:]
     if len(rows) != nx:
         raise ParseError(f"{path}: expected {nx} data rows, found {len(rows)}")
@@ -394,8 +386,11 @@ def read_kernel(path) -> tuple[Kernel, list[str]]:
         values = None
     if values is None or values.shape[1] != ny:
         raise ParseError(f"{path}: {_bad_row(rows, ny)}")
-    try:
-        kernel = Kernel(q, IndexSet(nx), IndexSet(ny), values)
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return kernel, comments
+    return Kernel(q, domain, codomain, values)
+
+
+@_names_file
+def read_kernel(path) -> tuple[Kernel, list[str]]:
+    """Parse a QKERNEL file; returns the kernel and any comment lines."""
+    lines, comments = _read_lines(path, KERNEL_MAGIC)
+    return _parse_kernel(path, lines), comments

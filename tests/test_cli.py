@@ -101,6 +101,25 @@ def test_erode_with_se_file(tmp_path, grey_image):
     assert read_pgm(out).shape == (16, 16)
 
 
+@pytest.mark.parametrize("far", [10**20, 10**6])
+def test_offsets_past_the_raster_read_only_padding(tmp_path, far):
+    # on a 16x12 raster a shift past the edge reads what a shift to the edge reads
+    image = tmp_path / "in.pgm"
+    write_pgm(image, GridImage(np.random.default_rng(72).uniform(0, 1, (16, 12))))
+    outputs = {}
+    for dy, dx in ((far, far), (16, 12)):
+        sel = tmp_path / f"{dy}.qsel"
+        sel.write_text(f"QSEL 1\n0 0 1.0\n{dy} 1 0.5\n-2 {-dx} 0.75\n")
+        for cmd in ("dilate", "erode"):
+            for pad in ("zero", "one", "replicate"):
+                out = tmp_path / f"{dy}-{cmd}-{pad}.pgm"
+                assert main([cmd, "--se", str(sel), "--quantale", "product", "--pad", pad,
+                             str(image), str(out)]) == 0
+                outputs.setdefault((cmd, pad), []).append(out.read_bytes())
+    for key, (past, edge) in outputs.items():
+        assert past == edge, key
+
+
 def test_open_close_commands(tmp_path, grey_image):
     for cmd in ("open", "close"):
         out = tmp_path / f"{cmd}.pgm"
@@ -196,15 +215,22 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
         "QCODEBOOK 1\ngoedel block 16 16 4 4\n0.5\n",
         "QCODEBOOK 1\n# goedel block 16 16 4 4\n",
         "QCODEBOOK 1\ngoedel block 16 16 4\n",
-        # sizes whose grids cannot even be addressed: the allocation fails at once
+        # pixel counts past the index range stop before any allocation
         "QCODEBOOK 1\ngoedel triangular 1000000000000000 1000000000000000 2 2\n",
         "QCODEBOOK 1\nproduct block 1000000000000000 1000000000000000 2 2\n",
+        "QCODEBOOK 1\ngoedel triangular 100000000000000000000 2 2 2\n",
+        "QCODEBOOK 1\ngoedel block 100000000000000000000 2 2 2\n",
+        # pixel counts inside the index range whose first axis (7 PiB) fails at once
+        "QCODEBOOK 1\ngoedel triangular 1000000000000000 2 2 2\n",
+        "QCODEBOOK 1\nproduct block 1000000000000000 2 2 2\n",
     ],
     ids=["unknown-builder", "codes-exceed-image", "params-unknown-builder", "params-custom",
          "params-unknown-family", "params-boolean", "params-non-integer-size",
          "params-codes-exceed-image", "params-trailing-line", "params-missing-line",
          "params-missing-value", "params-unallocatable-triangular",
-         "params-unallocatable-block"],
+         "params-unallocatable-block", "params-past-index-range-triangular",
+         "params-past-index-range-block", "params-unallocatable-axis-triangular",
+         "params-unallocatable-axis-block"],
 )
 def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, text):
     path = tmp_path / "cb.qk"
@@ -223,10 +249,13 @@ def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys
 @pytest.mark.parametrize("builder", ["triangular", "block"])
 def test_gen_codebook_of_unallocatable_size_exits_2(tmp_path, capsys, builder):
     out = tmp_path / "cb.qk"
-    assert main(["gen-codebook", "--builder", builder, "--size",
-                 "1000000000000000x1000000000000000", "--codes", "2x2", "--out", str(out)]) == 2
-    assert "cannot be built" in capsys.readouterr().err
-    assert not out.exists()
+    # past the index range, then a first axis that cannot be allocated
+    for size in ("1000000000000000x1000000000000000", "100000000000000000000x2",
+                 "1000000000000000x2"):
+        assert main(["gen-codebook", "--builder", builder, "--size", size,
+                     "--codes", "2x2", "--out", str(out)]) == 2
+        assert "cannot be built" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_quantale_override_error_names_the_file(tmp_path, grey_image, capsys):

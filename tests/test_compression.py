@@ -281,6 +281,17 @@ def test_large_codebook_file_holds_only_the_parameters(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(cb.kernel, name))
 
 
+def test_dense_codebook_comment_is_checked_before_the_body(tmp_path):
+    from qimg import ParseError
+
+    # the comment's 2x3 grid cannot cover the header's 4 pixels, and every row is short
+    path = tmp_path / "cb.qk"
+    path.write_text("QKERNEL 1\ngoedel 4 4\n# builder custom 2 3 2 2\n" + "0.5 0.5\n" * 4)
+    with pytest.raises(ParseError) as exc:
+        read_codebook(path)
+    assert str(exc.value) == f"{path}: shape (2, 3) does not cover size 4"
+
+
 def test_codebook_file_requires_builder_comment(tmp_path):
     from qimg import ParseError, write_kernel
 

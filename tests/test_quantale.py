@@ -135,6 +135,11 @@ def test_boolean_rejects_fractions():
         BOOLEAN.mul(0.5, 1.0)
     with pytest.raises(DomainError):
         BOOLEAN.residuum(1.0, 0.25)
+    # a subnormal too: flushed before the check, it would pass as a Boolean 0
+    with pytest.raises(DomainError):
+        BOOLEAN.mul(5e-324, 1.0)
+    with pytest.raises(DomainError):
+        BOOLEAN.residuum(1.0, 5e-324)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
