@@ -48,7 +48,7 @@ def _load_codebook(path: str, family: str | None) -> compression.Codebook:
     """The codebook in path, retagged with family unless that is None."""
     cb = compression.read_codebook(path)
     if family is not None and family != cb.kernel.q.family:
-        cb = compression.Codebook(cb.kernel.with_quantale(quantale(family)), cb.builder)
+        cb = compression.Codebook(cb.kernel.with_quantale(quantale(family)))
     return cb
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError, _names_file
-from .free_module import IndexSet
+from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, quantale
 from .transform import (KERNEL_MAGIC, Kernel, _parse_kernel, _read_lines, forward, inverse,
@@ -34,20 +34,21 @@ __all__ = [
     "load_kernel",
 ]
 
-# "custom" labels hand-written codebook files that no builder generated
-BUILDERS = ("triangular", "block", "custom")
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """A kernel between shaped grids plus the name of its construction."""
+    """A kernel between shaped grids plus the name of its construction.
+
+    Only the builders label their own codebooks ("triangular", "block");
+    every other codebook, read from a file or made by hand, is "custom".
+    """
 
     kernel: Kernel
-    builder: str
+    builder: str = "custom"
 
     def __post_init__(self):
-        if self.builder not in BUILDERS:
-            raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDERS}")
+        if self.builder != "custom":
+            raise ValueError(f"only the builders label their own codebooks; "
+                             f"got builder {self.builder!r}, expected 'custom'")
         if self.kernel.domain.shape is None or self.kernel.codomain.shape is None:
             raise ShapeError("codebook kernels need 2-D shapes on both index sets")
         (m, n), (a, b) = self.kernel.domain.shape, self.kernel.codomain.shape
@@ -113,7 +114,7 @@ def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Co
     y = (hs[:, None, :, None] * b + ks[None, :, None, :])[nz]
     w = w[nz]
     kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w))
-    return Codebook(kernel, "triangular")
+    return _unchecked(Codebook, kernel, "triangular")
 
 
 def _block_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +151,7 @@ def build_block_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codeboo
     kernel = Kernel(
         q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(np.arange(m * n), y, w)
     )
-    return Codebook(kernel, "block")
+    return _unchecked(Codebook, kernel, "block")
 
 
 def compress(cb: Codebook, img: GridImage) -> GridImage:
@@ -194,7 +195,8 @@ def psnr(a: GridImage, b: GridImage) -> float:
 #   <family> <builder> <m> <n> <a> <b>
 #
 # A "custom" codebook is a QKERNEL 1 file whose "# builder custom m n a b"
-# comment gives the grid shapes; older files of the builders are read too.
+# comment gives the grid shapes.  Older files of the builders, whose comment
+# names the builder instead, read as custom too: no builder made their body.
 
 CODEBOOK_MAGIC = "QCODEBOOK 1"
 
@@ -216,21 +218,8 @@ def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
         raise ValueError(f"codebook {m}x{n} -> {a}x{b} cannot be built: {exc}") from None
 
 
-def _is_built_by(kernel: Kernel, name: str, m: int, n: int, a: int, b: int) -> bool:
-    """True iff the builder called name makes exactly this kernel's stored arrays."""
-    try:
-        made = _build(name, kernel.q, m, n, a, b).kernel
-    except ValueError:  # DomainError included
-        return False
-    return made._stores_same(kernel)
-
-
 def write_codebook(path, cb: Codebook) -> None:
-    """Write cb as its builder's parameters, or as a dense QKERNEL 1 file if custom.
-
-    A codebook labelled with a builder must hold that builder's kernel:
-    only the parameters are written, and reading rebuilds from them.
-    """
+    """Write cb as its builder's parameters, or as a dense QKERNEL 1 file if custom."""
     m, n = cb.image_shape
     a, b = cb.code_shape
     if cb.builder == "custom":
@@ -280,10 +269,10 @@ def read_codebook(path) -> Codebook:
     else:
         raise ParseError(f"{path}: no '# builder <name> <m> <n> <a> <b>' comment line")
     name, m, n, a, b = _params(path, parts[1:])
-    kernel = _parse_kernel(path, lines, ((m, n), (a, b)))
-    if _builder(name) is not None and not _is_built_by(kernel, name, m, n, a, b):
-        name = "custom"  # an edited body: a builder label would be written as parameters only
-    return Codebook(kernel, name)
+    if name != "custom" and _builder(name) is None:
+        raise ParseError(f"{path}: unknown builder {name!r}; "
+                         f"expected one of ('triangular', 'block', 'custom')")
+    return Codebook(_parse_kernel(path, lines, ((m, n), (a, b))))
 
 
 @_names_file

@@ -220,6 +220,8 @@ def read_sel(path) -> StructuringElement:
             dy, dx, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"{path}: entry {i} is malformed") from None
+        if (dy, dx) in entries:
+            raise ParseError(f"{path}: entry {i} repeats offset ({dy}, {dx})")
         entries[(dy, dx)] = v
     if not entries:
         raise ParseError(f"{path}: no entries")

@@ -26,8 +26,8 @@ _COMMENT = re.compile(rb"#[^\n]*")
 _TOKEN_OR_COMMENT = re.compile(rb"#[^\n]*|[^\s#]+")
 
 
-def _bad_sample(path, data: bytes, pos: int, count: int) -> ParseError:
-    """Locate the first P2 sample the bulk conversion rejected; error path only."""
+def _bad_sample(path, data: bytes, pos: int, count: int, found: int) -> ParseError:
+    """Locate the first P2 sample the bulk conversion rejected, or the shortfall; error path only."""
     tokens = (m for m in _TOKEN_OR_COMMENT.finditer(data, pos) if m[0][:1] != b"#")
     for i, m in zip(range(count), tokens):
         try:
@@ -36,7 +36,7 @@ def _bad_sample(path, data: bytes, pos: int, count: int) -> ParseError:
             return ParseError(f"{path}: sample {i} is not an integer: {m[0]!r}", offset=m.start())
         if not 0 <= v <= MAXVAL:
             return ParseError(f"{path}: sample {i} value {v} outside 0..{MAXVAL}", offset=m.end())
-    return ParseError(f"{path}: unexpected end of header", offset=len(data))
+    return ParseError(f"{path}: short payload: {found} of {count} samples", offset=len(data))
 
 
 def read_pgm(path) -> GridImage:
@@ -80,7 +80,7 @@ def read_pgm(path) -> GridImage:
             with contextlib.suppress(ValueError, OverflowError):
                 samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
         if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
-            raise _bad_sample(path, data, pos, count)
+            raise _bad_sample(path, data, pos, count, len(tokens))
     return GridImage(samples.reshape(height, width) / MAXVAL)
 
 

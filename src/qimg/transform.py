@@ -96,7 +96,7 @@ class Kernel:
         """Build from a dense (|X|, |Y|) matrix, or from entries=(x, y, w).
 
         The entries are the weights of distinct (x, y) pairs, in any order;
-        pairs left out are 0.  Either form is checked once.
+        pairs left out are 0.  Either form is checked once, as its nonzero weights.
         """
         if entries is None:
             arr = np.asarray(values, dtype=float)
@@ -104,14 +104,13 @@ class Kernel:
                 raise ShapeError(
                     f"kernel values shaped {arr.shape}, expected ({domain.size}, {codomain.size})"
                 )
-            q.check(arr)
             flat = np.flatnonzero(arr != 0.0)  # row-major, so already grouped by x
             x, y = np.divmod(flat, codomain.size)
             w = arr.reshape(-1)[flat]
         else:
             x, y, w = (np.asarray(a).reshape(-1) for a in entries)
             _check_entries(x, y, w, domain.size, codomain.size)
-            q.check(w)
+        q.check(w)  # NaN and every value outside the carrier are nonzero, so they are in w
         keep = w >= TINY
         x, y, w = x[keep], y[keep], w[keep]
         _fill(self, q, domain, codomain, *_ell(x, y, w, domain.size), *_ell(y, x, w, codomain.size))
@@ -137,11 +136,6 @@ class Kernel:
         q.check(self.row_w)  # the padding weight 0 lies in every carrier
         return _unchecked(Kernel, q, self.domain, self.codomain,
                           self.row_idx, self.row_w, self.col_idx, self.col_w)
-
-    def _stores_same(self, other: "Kernel") -> bool:
-        """True iff other stores bit for bit the same entries in the same slots."""
-        return all(np.array_equal(getattr(self, f), getattr(other, f))
-                   for f in ("row_idx", "row_w", "col_idx", "col_w"))
 
     def __repr__(self) -> str:
         return f"Kernel({self.q.family}, |X|={self.domain.size}, |Y|={self.codomain.size})"

@@ -300,7 +300,7 @@ def test_dense_codebook_files_still_load(tmp_path, grey_image, capsys):
     assert dense.read_text().startswith("QKERNEL 1\n")
     assert params.read_text().startswith("QCODEBOOK 1\n")
     back = read_codebook(dense)
-    assert (back.builder, back.image_shape, back.code_shape) == ("triangular", (16, 16), (4, 4))
+    assert (back.builder, back.image_shape, back.code_shape) == ("custom", (16, 16), (4, 4))
     assert np.array_equal(back.kernel.values, cb.kernel.values)
     for extra in ((), ("--quantale", "lukasiewicz")):
         assert _outputs(tmp_path, dense, grey_image, "dense", extra) == \
@@ -320,8 +320,8 @@ def test_dense_codebook_files_still_load(tmp_path, grey_image, capsys):
 
 
 def test_edited_dense_codebook_keeps_its_body(tmp_path):
-    # a builder comment over a body the builder does not make reads as custom,
-    # so writing it again keeps the edited entry instead of the bare parameters
+    # every dense body reads as custom, so writing it again keeps the edited
+    # entry instead of the bare parameters
     cb = build_block_codebook(quantale("goedel"), 4, 4, 2, 2)
     values = cb.kernel.values.copy()
     values[0, 0] = 0.5
@@ -336,9 +336,9 @@ def test_edited_dense_codebook_keeps_its_body(tmp_path):
     final = read_codebook(again)
     assert final.builder == "custom"
     assert np.array_equal(final.kernel.values, values)
-    # the unedited body keeps its builder label
+    # so does the unedited body: only a builder labels a codebook
     write_kernel(edited, cb.kernel, comments=["builder block 4 4 2 2"])
-    assert read_codebook(edited).builder == "block"
+    assert read_codebook(edited).builder == "custom"
 
 
 def test_stray_key_error_is_not_a_validation_error(tmp_path, monkeypatch):

@@ -159,6 +159,16 @@ def test_codebook_shape_sanity():
         Codebook(build_block_codebook(GOEDEL, 4, 4, 2, 2).kernel, "fancy")
 
 
+@pytest.mark.parametrize("build", [build_block_codebook, build_triangular_codebook])
+def test_only_builders_label_codebooks(build):
+    # not even the builder's own kernel: a label would be written as the parameters
+    kernel = build(GOEDEL, 6, 6, 3, 3).kernel
+    for label in ("block", "triangular"):
+        with pytest.raises(ValueError, match="only the builders"):
+            Codebook(kernel, label)
+    assert Codebook(kernel).builder == "custom"
+
+
 # --- compression and reconstruction ---------------------------------------------
 
 def test_compress_constant_images():

@@ -458,8 +458,9 @@ def test_sel_file_round_trip(tmp_path):
         "QSEL 1\n0 0 1.5\n",
         "QSEL 1\na b 1.0\n",
         "QSEL 1\n0 0 1.0\u00e9\n",
+        "QSEL 1\n0 0 1.0\n0 0 0.25\n",
     ],
-    ids=["magic", "empty", "arity", "range", "ints", "non-ascii"],
+    ids=["magic", "empty", "arity", "range", "ints", "non-ascii", "repeated-offset"],
 )
 def test_sel_file_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.qsel"

@@ -56,9 +56,9 @@ def test_header_comments_and_whitespace(tmp_path):
         (b"P5\n1 1\n127\n\x00", "maxval"),
         (b"P5\n2 2\n255\n\x00\x00", "short payload"),
         (b"P2\n2 1\n255\n12 999\n", "outside"),
-        (b"P2\n2 1\n255\n12\n", "end of header"),
+        (b"P2\n2 1\n255\n12\n", "short payload: 1 of 2 samples"),
         # the header promises 10^12 samples; none may be allocated before counting
-        (b"P2\n1000000 1000000\n255\n0 1 2\n", "end of header"),
+        (b"P2\n1000000 1000000\n255\n0 1 2\n", "short payload: 3 of 1000000000000 samples"),
     ],
     ids=["magic", "dims", "maxval", "short", "range", "truncated", "huge"],
 )
