@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from . import compression, morphology, pgm, transform
-from .errors import _names_file
 from .quantale import FAMILIES, quantale
 
 __all__ = ["main", "build_parser"]
@@ -43,17 +42,8 @@ def cmd_gen_codebook(args) -> int:
     return 0
 
 
-@_names_file
-def _load_codebook(path: str, family: str | None) -> compression.Codebook:
-    """The codebook in path, retagged with family unless that is None."""
-    cb = compression.read_codebook(path)
-    if family is not None and family != cb.kernel.q.family:
-        cb = compression.Codebook(cb.kernel.with_quantale(quantale(family)))
-    return cb
-
-
 def cmd_codec(args) -> int:
-    cb = _load_codebook(args.codebook, args.quantale)
+    cb = compression.read_codebook(args.codebook)
     op = {"compress": compression.compress, "reconstruct": compression.reconstruct}[args.command]
     img = pgm.read_pgm(args.input)
     pgm.write_pgm(args.output, op(cb, img))
@@ -116,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--codebook", required=True)
-        p.add_argument("--quantale", default=None, choices=families,
-                       help="override the family recorded in the codebook file")
         p.add_argument("input")
         p.add_argument("output")
         p.set_defaults(func=cmd_codec)

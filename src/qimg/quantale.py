@@ -73,7 +73,7 @@ class Quantale:
     def _operand(self, x: Values) -> np.ndarray:
         """x as a checked float array with subnormals flushed to 0."""
         arr = np.array(x, dtype=float)
-        self.check(arr)  # first: under BOOLEAN a subnormal is a grey value, not a 0
+        require_carrier(self, arr)  # first: under BOOLEAN a subnormal is a grey value, not a 0
         return unit_carrier(arr, f"values of the {self.family} quantale")
 
     def mul(self, x: Values, y: Values) -> Values:

@@ -131,12 +131,6 @@ class Kernel:
         out.setflags(write=False)
         return out
 
-    def with_quantale(self, q: Quantale) -> "Kernel":
-        """The same stored entries under another family; they are revalidated, not copied."""
-        q.check(self.row_w)  # the padding weight 0 lies in every carrier
-        return _unchecked(Kernel, q, self.domain, self.codomain,
-                          self.row_idx, self.row_w, self.col_idx, self.col_w)
-
     def __repr__(self) -> str:
         return f"Kernel({self.q.family}, |X|={self.domain.size}, |Y|={self.codomain.size})"
 

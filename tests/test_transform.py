@@ -129,16 +129,6 @@ def test_kernel_entries_are_checked(x, y, w, problem):
         Kernel(GOEDEL, X2, Y1, entries=(np.array(x), np.array(y), np.array(w)))
 
 
-def test_with_quantale_shares_the_stored_arrays():
-    p = hand_kernel()
-    retagged = p.with_quantale(PRODUCT)
-    assert retagged.q is PRODUCT
-    for f in ("row_idx", "row_w", "col_idx", "col_w"):
-        assert np.shares_memory(getattr(retagged, f), getattr(p, f))
-    with pytest.raises(DomainError):
-        p.with_quantale(BOOLEAN)
-
-
 # --- adjoint pair -------------------------------------------------------------
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
@@ -531,3 +521,21 @@ def test_only_transform_names_the_kernel_layout():
         assert not named & layout, f"{path.name} names {sorted(named & layout)}"
         checked.append(path.name)
     assert "compression.py" in checked
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_every_kernel_passes_its_constructor():
+    # no module builds a Kernel through _unchecked, so each kernel's family
+    # is the one its weights were checked under
+    checked = []
+    for path in sorted(Path(qimg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bypass = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _name(node.func) == "_unchecked"
+                  and node.args and _name(node.args[0]) == "Kernel"]
+        assert not bypass, f"{path.name} lines {bypass} build a Kernel through _unchecked"
+        checked.append(path.name)
+    assert "transform.py" in checked

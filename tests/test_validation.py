@@ -1,5 +1,7 @@
 """Carrier values are checked once, where they enter the program."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,20 @@ def test_operators_do_not_recheck_validated_inputs(count_checks):
         cfg = MorphConfig(q, padding="replicate")
         erode(se, dilate(se, src, cfg), cfg)
     assert count_checks == []
+
+
+def test_public_mul_scans_each_operand_once(monkeypatch):
+    module = importlib.import_module("qimg.quantale")
+    calls = []
+    original = module.require_unit
+
+    def counted(arr, what):
+        calls.append(what)
+        return original(arr, what)
+
+    monkeypatch.setattr(module, "require_unit", counted)
+    GOEDEL.mul(np.full(5, 0.25), np.full(5, 0.75))
+    assert len(calls) == 2
 
 
 def test_grid_and_module_views_share_memory():
