@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     families = sorted(FAMILIES)
 
     p = sub.add_parser("gen-codebook", help="generate a codebook kernel file")
-    p.add_argument("--builder", required=True, choices=("triangular", "block"))
+    p.add_argument("--builder", required=True, choices=compression.BUILDERS)
     p.add_argument("--size", required=True, help="image grid, e.g. 64x64")
     p.add_argument("--codes", required=True, help="code grid, e.g. 16x16")
     p.add_argument("--quantale", default="goedel", choices=families)

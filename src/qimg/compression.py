@@ -199,15 +199,16 @@ def psnr(a: GridImage, b: GridImage) -> float:
 # names the builder instead, read as custom too: no builder made their body.
 
 CODEBOOK_MAGIC = "QCODEBOOK 1"
+BUILDERS = ("triangular", "block")
 
 
 def _builder(name: str):
-    """The builder function called name, or None for "custom" and unknown names.
+    """The builder function called name, one of BUILDERS.
 
     Looked up on each call, so a rebound module attribute (a tracing
     wrapper, say) is the one called.
     """
-    return {"triangular": build_triangular_codebook, "block": build_block_codebook}.get(name)
+    return {"triangular": build_triangular_codebook, "block": build_block_codebook}[name]
 
 
 def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
@@ -234,25 +235,25 @@ def _is_codebook_file(path) -> bool:
         return fh.readline(64).strip() == CODEBOOK_MAGIC.encode()
 
 
-def _params(path, fields: list[str]) -> tuple[str, int, int, int, int]:
-    """The builder name and grid sizes of the fields '<builder> <m> <n> <a> <b>'."""
+def _params(fields: list[str], names: tuple[str, ...]) -> tuple[str, int, int, int, int]:
+    """The builder name, one of names, and grid sizes of the fields '<builder> <m> <n> <a> <b>'."""
+    if fields[0] not in names:
+        raise ParseError(f"unknown builder {fields[0]!r}; expected one of {names}")
     try:
         m, n, a, b = (int(tok) for tok in fields[1:])
     except ValueError:
-        raise ParseError(f"{path}: malformed builder parameters {fields[1:]}") from None
+        raise ParseError(f"malformed builder parameters {fields[1:]}") from None
     return fields[0], m, n, a, b
 
 
 def _read_qcodebook(path) -> Codebook:
     lines, _ = _read_lines(path, CODEBOOK_MAGIC)
     if len(lines) != 1:
-        raise ParseError(f"{path}: expected one parameter line, found {len(lines)} data lines")
+        raise ParseError(f"expected one parameter line, found {len(lines)} data lines")
     parts = lines[0].split()
     if len(parts) != 6:
-        raise ParseError(f"{path}: expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
-    if _builder(parts[1]) is None:
-        raise ParseError(f"{path}: unknown builder {parts[1]!r}; expected 'triangular' or 'block'")
-    name, m, n, a, b = _params(path, parts[1:])
+        raise ParseError(f"expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
+    name, m, n, a, b = _params(parts[1:], BUILDERS)
     return _build(name, quantale(parts[0]), m, n, a, b)
 
 
@@ -267,17 +268,13 @@ def read_codebook(path) -> Codebook:
         if len(parts) == 6 and parts[0] == "builder":
             break
     else:
-        raise ParseError(f"{path}: no '# builder <name> <m> <n> <a> <b>' comment line")
-    name, m, n, a, b = _params(path, parts[1:])
-    if name != "custom" and _builder(name) is None:
-        raise ParseError(f"{path}: unknown builder {name!r}; "
-                         f"expected one of ('triangular', 'block', 'custom')")
-    return Codebook(_parse_kernel(path, lines, ((m, n), (a, b))))
+        raise ParseError("no '# builder <name> <m> <n> <a> <b>' comment line")
+    _, m, n, a, b = _params(parts[1:], BUILDERS + ("custom",))
+    return Codebook(_parse_kernel(lines, ((m, n), (a, b))))
 
 
-@_names_file
 def load_kernel(path) -> Kernel:
     """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
     if _is_codebook_file(path):
-        return _read_qcodebook(path).kernel
+        return read_codebook(path).kernel
     return read_kernel(path)[0]

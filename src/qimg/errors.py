@@ -27,8 +27,8 @@ def _names_file(reader):
     def wrapper(path, *args, **kwargs):
         try:
             return reader(path, *args, **kwargs)
-        except ParseError:  # names the file already
-            raise
-        except ValueError as exc:  # DomainError, ShapeError and UnicodeDecodeError included
-            raise ParseError(f"{path}: {exc}") from None
+        except ValueError as exc:  # ParseError, DomainError, ShapeError and UnicodeDecodeError
+            err = ParseError(f"{path}: {exc}")
+            err.offset = getattr(exc, "offset", None)  # a byte offset is in the message already
+            raise err from None
     return wrapper

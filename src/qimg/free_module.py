@@ -35,6 +35,9 @@ class IndexSet:
     shape: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for n in (self.size, *(self.shape or ())):
+            if not isinstance(n, (int, np.integer)):  # numbers.Integral costs 7x as much
+                raise ShapeError(f"index set sizes must be integers, got {n!r}")
         if self.size < 1:
             raise ValueError("index set must be non-empty")
         if self.shape is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParseError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
-from .quantale import require_carrier, unit_carrier
+from .quantale import Quantale, require_carrier, unit_carrier
 from .transform import Kernel, _read_lines
 
 __all__ = [
@@ -51,10 +51,13 @@ class StructuringElement:
     def __post_init__(self):
         items = {}
         for offset, value in dict(self.entries).items():
-            dy, dx = offset
-            if int(dy) != dy or int(dx) != dx:
+            try:
+                dy, dx = (int(d) for d in offset)
+            except (OverflowError, ValueError):  # inf and NaN have no integer value
+                dy = dx = None
+            if (dy, dx) != tuple(offset):
                 raise ValueError(f"offset {offset!r} is not an integer pair")
-            items[(int(dy), int(dx))] = float(value)
+            items[(dy, dx)] = float(value)
         if not items:
             raise ValueError("structuring element needs at least one offset")
         weights = unit_carrier(np.array(list(items.values())), "structuring element weights")
@@ -215,14 +218,14 @@ def read_sel(path) -> StructuringElement:
     for i, ln in enumerate(lines):
         parts = ln.split()
         if len(parts) != 3:
-            raise ParseError(f"{path}: entry {i} is not 'dy dx value'")
+            raise ParseError(f"entry {i} is not 'dy dx value'")
         try:
             dy, dx, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise ParseError(f"{path}: entry {i} is malformed") from None
+            raise ParseError(f"entry {i} is malformed") from None
         if (dy, dx) in entries:
-            raise ParseError(f"{path}: entry {i} repeats offset ({dy}, {dx})")
+            raise ParseError(f"entry {i} repeats offset ({dy}, {dx})")
         entries[(dy, dx)] = v
     if not entries:
-        raise ParseError(f"{path}: no entries")
+        raise ParseError("no entries")
     return StructuringElement(entries)

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _names_file
 from .grid import GridImage
 
 __all__ = ["read_pgm", "write_pgm"]
@@ -26,19 +26,20 @@ _COMMENT = re.compile(rb"#[^\n]*")
 _TOKEN_OR_COMMENT = re.compile(rb"#[^\n]*|[^\s#]+")
 
 
-def _bad_sample(path, data: bytes, pos: int, count: int, found: int) -> ParseError:
+def _bad_sample(data: bytes, pos: int, count: int, found: int) -> ParseError:
     """Locate the first P2 sample the bulk conversion rejected, or the shortfall; error path only."""
     tokens = (m for m in _TOKEN_OR_COMMENT.finditer(data, pos) if m[0][:1] != b"#")
     for i, m in zip(range(count), tokens):
         try:
             v = int(m[0])
         except ValueError:
-            return ParseError(f"{path}: sample {i} is not an integer: {m[0]!r}", offset=m.start())
+            return ParseError(f"sample {i} is not an integer: {m[0]!r}", offset=m.start())
         if not 0 <= v <= MAXVAL:
-            return ParseError(f"{path}: sample {i} value {v} outside 0..{MAXVAL}", offset=m.end())
-    return ParseError(f"{path}: short payload: {found} of {count} samples", offset=len(data))
+            return ParseError(f"sample {i} value {v} outside 0..{MAXVAL}", offset=m.end())
+    return ParseError(f"short payload: {found} of {count} samples", offset=len(data))
 
 
+@_names_file
 def read_pgm(path) -> GridImage:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -47,30 +48,28 @@ def read_pgm(path) -> GridImage:
     for group, what in enumerate(("magic", "width", "height", "maxval"), start=1):
         token, offset = head[group], head.start(group)
         if not token:
-            raise ParseError(f"{path}: unexpected end of header", offset=offset)
+            raise ParseError("unexpected end of header", offset=offset)
         if group == 1 and token not in (b"P2", b"P5"):
-            raise ParseError(f"{path}: not a PGM file (magic {token!r})", offset=0)
+            raise ParseError(f"not a PGM file (magic {token!r})", offset=0)
         try:
             fields.append(int(token) if group > 1 else token)
         except ValueError:
-            raise ParseError(f"{path}: {what} is not an integer: {token!r}", offset=offset) from None
+            raise ParseError(f"{what} is not an integer: {token!r}", offset=offset) from None
     magic, width, height, maxval = fields
     pos = head.end()
     if width < 1 or height < 1:
-        raise ParseError(f"{path}: bad dimensions {width}x{height}", offset=pos)
+        raise ParseError(f"bad dimensions {width}x{height}", offset=pos)
     if maxval != MAXVAL:
-        raise ParseError(f"{path}: unsupported maxval {maxval}, only {MAXVAL}", offset=pos)
+        raise ParseError(f"unsupported maxval {maxval}, only {MAXVAL}", offset=pos)
 
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the payload
         if not data[pos : pos + 1].isspace():
-            raise ParseError(f"{path}: missing separator before binary payload", offset=pos)
+            raise ParseError("missing separator before binary payload", offset=pos)
         payload = data[pos + 1 : pos + 1 + count]
         if len(payload) < count:
-            raise ParseError(
-                f"{path}: short payload: {len(payload)} of {count} bytes", offset=len(data)
-            )
+            raise ParseError(f"short payload: {len(payload)} of {count} bytes", offset=len(data))
         samples = np.frombuffer(payload, dtype=np.uint8)
     else:
         tokens = _COMMENT.sub(b"", data[pos:]).split()
@@ -80,7 +79,7 @@ def read_pgm(path) -> GridImage:
             with contextlib.suppress(ValueError, OverflowError):
                 samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
         if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
-            raise _bad_sample(path, data, pos, count, len(tokens))
+            raise _bad_sample(data, pos, count, len(tokens))
     return GridImage(samples.reshape(height, width) / MAXVAL)
 
 

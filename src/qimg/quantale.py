@@ -68,7 +68,9 @@ class Quantale:
 
     def check(self, x: Values) -> None:
         """Reject values outside the carrier."""
-        require_unit(np.asarray(x, dtype=float), f"values of the {self.family} quantale")
+        arr = np.asarray(x, dtype=float)
+        require_carrier(self, arr)
+        require_unit(arr, f"values of the {self.family} quantale")
 
     def _operand(self, x: Values) -> np.ndarray:
         """x as a checked float array with subnormals flushed to 0."""
@@ -160,9 +162,6 @@ class _Boolean(_Goedel):
     """Classical two-valued logic: on {0, 1} the Goedel operations are the Boolean ones."""
 
     family = "boolean"
-
-    def check(self, x):
-        require_carrier(self, np.asarray(x, dtype=float))
 
 
 GOEDEL = _Goedel()

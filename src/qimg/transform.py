@@ -98,6 +98,8 @@ class Kernel:
         The entries are the weights of distinct (x, y) pairs, in any order;
         pairs left out are 0.  Either form is checked once, as its nonzero weights.
         """
+        if (values is None) == (entries is None):
+            raise ShapeError("a kernel takes exactly one of dense values and entries")
         if entries is None:
             arr = np.asarray(values, dtype=float)
             if arr.shape != (domain.size, codomain.size):
@@ -330,7 +332,7 @@ def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0].strip() != magic:
-        raise ParseError(f"{path}: missing '{magic}' header")
+        raise ParseError(f"missing '{magic}' header")
     stripped = [ln.strip() for ln in raw[1:]]
     comments = [ln[1:].strip() for ln in stripped if ln.startswith("#")]
     return [ln for ln in stripped if ln and not ln.startswith("#")], comments
@@ -349,31 +351,29 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
-def _parse_kernel(path, lines: list[str], shapes=(None, None)) -> Kernel:
+def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
 
     A shape that does not cover its header size fails before the body is parsed.
     """
     if not lines:
-        raise ParseError(f"{path}: missing size header line")
+        raise ParseError("missing size header line")
     head = lines[0].split()
     if len(head) != 3:
-        raise ParseError(f"{path}: expected '<family> <|X|> <|Y|>', got {lines[0]!r}")
+        raise ParseError(f"expected '<family> <|X|> <|Y|>', got {lines[0]!r}")
     q = quantale(head[0])
     nx, ny = int(head[1]), int(head[2])
-    if nx < 1 or ny < 1:
-        raise ParseError(f"{path}: kernel sizes must be positive")
     domain, codomain = IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
     rows = lines[1:]
     if len(rows) != nx:
-        raise ParseError(f"{path}: expected {nx} data rows, found {len(rows)}")
+        raise ParseError(f"expected {nx} data rows, found {len(rows)}")
     # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
     try:
         values = np.loadtxt(rows, ndmin=2, comments=None)
     except ValueError:
         values = None
     if values is None or values.shape[1] != ny:
-        raise ParseError(f"{path}: {_bad_row(rows, ny)}")
+        raise ParseError(_bad_row(rows, ny))
     return Kernel(q, domain, codomain, values)
 
 
@@ -381,4 +381,4 @@ def _parse_kernel(path, lines: list[str], shapes=(None, None)) -> Kernel:
 def read_kernel(path) -> tuple[Kernel, list[str]]:
     """Parse a QKERNEL file; returns the kernel and any comment lines."""
     lines, comments = _read_lines(path, KERNEL_MAGIC)
-    return _parse_kernel(path, lines), comments
+    return _parse_kernel(lines), comments

@@ -39,6 +39,12 @@ def test_index_set_validation():
     with pytest.raises(ShapeError):
         IndexSet(6, (2, 2))
     assert IndexSet(6, (2, 3)).shape == (2, 3)
+    # sizes are integers, NumPy's included
+    with pytest.raises(ShapeError, match="2.5"):
+        IndexSet(2.5)
+    with pytest.raises(ShapeError, match="2.0"):
+        IndexSet(4, (2.0, 2.0))
+    assert IndexSet(np.int64(4), (np.int32(2), 2)).shape == (2, 2)
 
 
 def test_element_values_validated():

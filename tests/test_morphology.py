@@ -83,6 +83,10 @@ def test_element_validation():
         StructuringElement({(0, 0): 1.0001})
     with pytest.raises(ValueError):
         StructuringElement({(0.5, 0): 1.0})
+    for offset in ((float("inf"), 0), (0, float("nan"))):
+        with pytest.raises(ValueError, match="not an integer pair"):
+            StructuringElement({offset: 1.0})
+    assert dict(StructuringElement({(2.0, -1): 1.0}).entries) == {(2, -1): 1.0}
 
 
 def test_presets():

@@ -59,8 +59,13 @@ def test_header_comments_and_whitespace(tmp_path):
         (b"P2\n2 1\n255\n12\n", "short payload: 1 of 2 samples"),
         # the header promises 10^12 samples; none may be allocated before counting
         (b"P2\n1000000 1000000\n255\n0 1 2\n", "short payload: 3 of 1000000000000 samples"),
+        (b"P5\n1 1\n", "end of header"),
+        (b"P5\n0 1\n255\n", "bad dimensions"),
+        (b"P5\n1 1\n255", "missing separator"),
+        (b"P2\n2 1\n255\n1 x\n", "not an integer"),
     ],
-    ids=["magic", "dims", "maxval", "short", "range", "truncated", "huge"],
+    ids=["magic", "dims", "maxval", "short", "range", "truncated", "huge", "header-end",
+         "zero-width", "no-separator", "sample-token"],
 )
 def test_malformed_files_report_offsets(tmp_path, payload, fragment):
     path = tmp_path / "bad.pgm"
@@ -69,7 +74,8 @@ def test_malformed_files_report_offsets(tmp_path, payload, fragment):
         read_pgm(path)
     assert fragment in str(err.value)
     assert "byte" in str(err.value)
-    assert str(path) in str(err.value)
+    assert isinstance(err.value.offset, int)
+    assert str(err.value).count(str(path)) == 1
     assert main(["dilate", "--se", "cross3", str(path), str(tmp_path / "out.pgm")]) == 2
 
 

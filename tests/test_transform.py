@@ -109,6 +109,11 @@ def test_shape_mismatch_rejected():
         inverse(p, ModuleElement(IndexSet(2), [0, 0]))
     with pytest.raises(ShapeError):
         Kernel(GOEDEL, X2, Y1, np.zeros((1, 2)))
+    # exactly one of the two forms
+    with pytest.raises(ShapeError, match="exactly one"):
+        Kernel(GOEDEL, X2, Y1, np.ones((2, 1)), entries=([0], [0], [1.0]))
+    with pytest.raises(ShapeError, match="exactly one"):
+        Kernel(GOEDEL, X2, Y1)
 
 
 def test_boolean_kernel_entries_must_be_binary():
@@ -485,25 +490,31 @@ def test_kernel_file_tolerates_loose_whitespace(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,fragment",
     [
-        "QKERNEL 2\ngoedel 1 1\n0.5\n",
-        "QKERNEL 1\nfrank 1 1\n0.5\n",
-        "QKERNEL 1\ngoedel 2 1\n0.5\n",
-        "QKERNEL 1\ngoedel 1 2\n0.5\n",
-        "QKERNEL 1\ngoedel 1 1\n1.5\n",
-        "QKERNEL 1\ngoedel 1 1\nzebra\n",
-        "QKERNEL 1\ngoedel 1 1\n0.5\u00e9\n",
+        ("QKERNEL 2\ngoedel 1 1\n0.5\n", "missing 'QKERNEL 1' header"),
+        ("QKERNEL 1\nfrank 1 1\n0.5\n", "unknown quantale family 'frank'"),
+        ("QKERNEL 1\ngoedel 2 1\n0.5\n", "expected 2 data rows, found 1"),
+        ("QKERNEL 1\ngoedel 1 2\n0.5\n", "row 0 has 1 values, expected 2"),
+        ("QKERNEL 1\ngoedel 1 1\n1.5\n", "must lie in [0,1]"),
+        ("QKERNEL 1\ngoedel 1 1\nzebra\n", "row 0 holds a non-numeric token"),
+        ("QKERNEL 1\ngoedel 1 1\n0.5\u00e9\n", "'ascii' codec can't decode"),
+        ("QKERNEL 1\n", "missing size header line"),
+        ("QKERNEL 1\ngoedel 2\n0.5\n", "expected '<family>"),
+        ("QKERNEL 1\ngoedel 0 1\n", "non-empty"),
     ],
-    ids=["magic", "family", "rows", "cols", "range", "token", "non-ascii"],
+    ids=["magic", "family", "rows", "cols", "range", "token", "non-ascii", "no-size-line",
+         "short-size-line", "empty-domain"],
 )
-def test_kernel_file_rejects_malformed(tmp_path, text):
+def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     from qimg import ParseError
 
     path = tmp_path / "bad.qk"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         read_kernel(path)
+    assert fragment in str(err.value)
+    assert str(err.value).count(str(path)) == 1
 
 
 # --- layout boundary ------------------------------------------------------------

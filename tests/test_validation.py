@@ -1,10 +1,16 @@
 """Carrier values are checked once, where they enter the program."""
 
+import ast
 import importlib
+import inspect
+import pkgutil
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qimg
 from qimg import (
     BOOLEAN,
     GOEDEL,
@@ -121,3 +127,39 @@ def test_grid_and_module_views_share_memory():
     assert np.shares_memory(elem.values, img.pixels)
     assert np.shares_memory(GridImage.from_element(elem).pixels, img.pixels)
     assert not elem.values.flags.writeable
+
+
+def test_only_the_file_boundary_names_the_file():
+    # readers raise without the path; errors._names_file adds it, once
+    checked = []
+    for path in sorted(Path(qimg.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.FormattedValue)
+                 and any(isinstance(n, ast.Name) and n.id == "path" for n in ast.walk(node.value))]
+        assert not sites, f"{path.name} lines {sites} format the path into a message"
+        checked.append(path.name)
+    assert {"transform.py", "compression.py", "morphology.py", "pgm.py"} <= set(checked)
+
+
+def test_every_annotation_resolves():
+    # each name an annotation uses is bound in its module
+    resolved = []
+    for info in pkgutil.iter_modules(qimg.__path__):
+        module = importlib.import_module(f"qimg.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                typing.get_type_hints(obj)
+                for method in vars(obj).values():
+                    if inspect.isfunction(method):
+                        typing.get_type_hints(method)
+            elif inspect.isfunction(obj):
+                typing.get_type_hints(obj)
+            else:
+                continue
+            resolved.append(f"{info.name}.{name}")
+    assert "morphology.MorphConfig" in resolved
