@@ -11,6 +11,8 @@ hold), ``one`` or ``replicate``.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -102,6 +104,48 @@ def reflect(se: StructuringElement) -> StructuringElement:
 # moves it by at most ulp/2, so it rounds to at most v + 1, the - 1 is
 # exact there, and _mul(v, a) <= v.  For v = 1 the call is skipped, since
 # mul(1, f) = residuum(1, f) = f exactly in every family.
+#
+# The fold runs over the output in tiles of _TILE rows, so each pass over a
+# tile's view, buffer and output stays in L2 cache.  The rows are split
+# into one horizontal strip per usable CPU, each at least one tile tall:
+# the calling thread folds the first strip and helper threads the others,
+# in parallel because NumPy's ufunc loops release the GIL.  Every step
+# above is elementwise per output pixel (max, min and a map by a scalar
+# v), so no split of the rows changes a value, whatever the worker count.
+# A raster under two tiles tall runs inline.
+
+_TILE = 64  # output rows folded per pass
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on macOS and Windows
+    _WORKERS = os.cpu_count() or 1
+
+
+def _run_strips(fold_rows, rows: int) -> None:
+    """Call fold_rows(start, stop) on one strip of rows per worker; join every helper first."""
+    n = max(1, min(_WORKERS, rows // _TILE))
+    bounds = [rows * i // n for i in range(n + 1)]
+    errors = []
+
+    def work(start, stop):
+        try:
+            fold_rows(start, stop)
+        except BaseException as exc:  # re-raised by the caller, once every helper is joined
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            t = threading.Thread(target=work, args=(start, stop))
+            t.start()
+            helpers.append(t)
+        fold_rows(bounds[0], bounds[1])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+
 
 def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empty: float):
     """out(y) = fold over the offsets d of act(se(d), img(y + sign * d)); empty if none."""
@@ -120,16 +164,23 @@ def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empt
         canvas = np.pad(img.pixels, r, mode="edge")
     else:
         canvas = np.pad(img.pixels, r, constant_values=0.0 if cfg.padding == "zero" else 1.0)
-    buf = np.empty(img.shape)
-    for v, offsets in levels.items():
-        acc = out if v == 1.0 else buf
-        if acc is buf:
-            buf.fill(empty)
-        for dy, dx in offsets:
-            y0, x0 = r + sign * dy, r + sign * dx
-            fold(acc, canvas[y0 : y0 + rows, x0 : x0 + cols], out=acc)
-        if acc is buf:
-            fold(out, act(v, buf), out=out)
+
+    def fold_rows(start, stop):
+        tile_buf = np.empty((min(_TILE, stop - start), cols))
+        for y in range(start, stop, _TILE):
+            h = min(_TILE, stop - y)
+            tile, buf = out[y : y + h], tile_buf[:h]
+            for v, offsets in levels.items():
+                acc = tile if v == 1.0 else buf
+                if acc is buf:
+                    buf.fill(empty)
+                for dy, dx in offsets:
+                    y0, x0 = r + sign * dy + y, r + sign * dx
+                    fold(acc, canvas[y0 : y0 + h, x0 : x0 + cols], out=acc)
+                if acc is buf:
+                    fold(tile, act(v, buf), out=tile)
+
+    _run_strips(fold_rows, rows)
     return _unchecked(GridImage, out)
 
 

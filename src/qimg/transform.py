@@ -362,7 +362,10 @@ def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     if len(head) != 3:
         raise ParseError(f"expected '<family> <|X|> <|Y|>', got {lines[0]!r}")
     q = quantale(head[0])
-    nx, ny = int(head[1]), int(head[2])
+    try:
+        nx, ny = int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(f"sizes must be integers, got {lines[0]!r}") from None
     domain, codomain = IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
     rows = lines[1:]
     if len(rows) != nx:

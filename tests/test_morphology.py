@@ -1,5 +1,10 @@
 """Dilation/erosion on rasters, their oracles and the Toeplitz bridge."""
 
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +32,7 @@ from qimg import (
     toeplitz_kernel,
     write_sel,
 )
+from qimg import morphology
 from qimg.morphology import PADDINGS, PRESETS
 from qimg.quantale import TINY
 from support import (
@@ -40,6 +46,7 @@ from support import (
     leq,
     shift_pixels,
     toeplitz_values_dense,
+    unit_values,
 )
 
 ORIGIN = StructuringElement({(0, 0): 1.0})
@@ -369,6 +376,64 @@ def test_subnormal_weight_is_dropped_by_both_paths():
     via_kernel = inverse(toeplitz_kernel(se, 1, 2, cfg), img.element()).values.reshape(1, 2)
     assert np.array_equal(erode(se, img, cfg).pixels, via_kernel)
     assert np.array_equal(via_kernel, [[0.5, 0.0]])
+
+
+# --- strips and tiles -------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
+    # shapes around the 64-row tile and 3-strip splits; the far offset on 130
+    # rows shifts by more than a 65-row strip.  Threads switch as often as the
+    # interpreter allows, so a write lost between strips would show.
+    monkeypatch.setattr(morphology, "_WORKERS", workers)
+    rng = np.random.default_rng(67)
+    shapes = [(1, 1), (63, 5), (64, 64), (65, 300), (129, 7), (300, 1), (1000, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for q in ALL_FAMILIES:
+            if q is BOOLEAN:
+                se = StructuringElement({d: float(v > 0.0) for d, v in cone().items()})
+                far = StructuringElement({(200, 0): 1.0, (0, 0): 1.0, (-1, 2): 1.0})
+            else:
+                se, far = cone(), StructuringElement({(200, 0): 0.5, (0, 0): 1.0, (-1, 2): 0.75})
+            for padding in PADDINGS:
+                cfg = MorphConfig(q, padding)
+                for shape in shapes:
+                    assert_matches_per_offset(se, GridImage(unit_values(rng, shape, q)), cfg)
+                assert_matches_per_offset(far, GridImage(unit_values(rng, (130, 9), q)), cfg)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(morphology, "_WORKERS", 3)
+    raised_on = []
+
+    class FailsOnLastRow(type(PRODUCT)):
+        def _mul(self, x, y):
+            if np.any(y == 0.25):  # only the last row holds 0.25
+                raised_on.append(threading.current_thread())
+                raise ArithmeticError("last strip")
+            return super()._mul(x, y)
+
+    px = np.full((512, 512), 0.5)
+    px[-1] = 0.25
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="last strip"):
+        dilate(StructuringElement({(0, 0): 0.5}), GridImage(px), MorphConfig(FailsOnLastRow()))
+    assert threading.active_count() == before
+    assert raised_on and threading.main_thread() not in raised_on
+
+
+def test_import_starts_no_thread_and_no_pool():
+    # perfbench's setup_s times this import, so helper threads start only inside a call
+    probe = ("import sys, threading; sys.path.insert(0, sys.argv[1]); import qimg, qimg.cli; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    src = str(Path(morphology.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.split() == ["1", "False"]
 
 
 # --- the Toeplitz bridge to the transform module --------------------------------------

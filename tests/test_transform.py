@@ -502,9 +502,11 @@ def test_kernel_file_tolerates_loose_whitespace(tmp_path):
         ("QKERNEL 1\n", "missing size header line"),
         ("QKERNEL 1\ngoedel 2\n0.5\n", "expected '<family>"),
         ("QKERNEL 1\ngoedel 0 1\n", "non-empty"),
+        ("QKERNEL 1\ngoedel 1 x\n0.5\n", "sizes must be integers, got 'goedel 1 x'"),
+        ("QKERNEL 1\ngoedel 1.5 1\n0.5\n", "sizes must be integers, got 'goedel 1.5 1'"),
     ],
     ids=["magic", "family", "rows", "cols", "range", "token", "non-ascii", "no-size-line",
-         "short-size-line", "empty-domain"],
+         "short-size-line", "empty-domain", "non-integer-size", "fractional-size"],
 )
 def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     from qimg import ParseError
