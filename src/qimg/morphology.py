@@ -107,23 +107,28 @@ def reflect(se: StructuringElement) -> StructuringElement:
 #
 # The fold runs over the output in tiles of _TILE rows, so each pass over a
 # tile's view, buffer and output stays in L2 cache.  The rows are split
-# into one horizontal strip per usable CPU, each at least one tile tall:
-# the calling thread folds the first strip and helper threads the others,
-# in parallel because NumPy's ufunc loops release the GIL.  Every step
-# above is elementwise per output pixel (max, min and a map by a scalar
-# v), so no split of the rows changes a value, whatever the worker count.
-# A raster under two tiles tall runs inline.
+# into at most one horizontal strip per usable CPU, each at least one tile
+# tall and each folding at least _STRIP_WORK view pixels (pixels times
+# nonzero offsets): the calling thread folds the first strip and helper
+# threads the others, in parallel because NumPy's ufunc loops release the
+# GIL.  Below that much work a helper's start, join and GIL hand-offs cost
+# more than the strip saves and make the op's time vary from call to call,
+# so a 256^2 raster, or 512^2 under cross3 or disk5, runs inline.
+# Every step above is elementwise per output pixel (max, min and a map by
+# a scalar v), so no split of the rows changes a value, whatever the
+# worker count.
 
 _TILE = 64  # output rows folded per pass
+_STRIP_WORK = 1 << 21  # view pixels a helper strip must fold to repay its thread
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on macOS and Windows
     _WORKERS = os.cpu_count() or 1
 
 
-def _run_strips(fold_rows, rows: int) -> None:
-    """Call fold_rows(start, stop) on one strip of rows per worker; join every helper first."""
-    n = max(1, min(_WORKERS, rows // _TILE))
+def _run_strips(fold_rows, rows: int, work: int) -> None:
+    """Call fold_rows(start, stop) on each strip of rows, one per worker at most; join every helper first."""
+    n = max(1, min(_WORKERS, rows // _TILE, work // _STRIP_WORK))
     bounds = [rows * i // n for i in range(n + 1)]
     errors = []
 
@@ -180,7 +185,7 @@ def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empt
                 if acc is buf:
                     fold(tile, act(v, buf), out=tile)
 
-    _run_strips(fold_rows, rows)
+    _run_strips(fold_rows, rows, rows * cols * sum(map(len, levels.values())))
     return _unchecked(GridImage, out)
 
 

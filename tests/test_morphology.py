@@ -386,6 +386,7 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
     # rows shifts by more than a 65-row strip.  Threads switch as often as the
     # interpreter allows, so a write lost between strips would show.
     monkeypatch.setattr(morphology, "_WORKERS", workers)
+    monkeypatch.setattr(morphology, "_STRIP_WORK", 1)
     rng = np.random.default_rng(67)
     shapes = [(1, 1), (63, 5), (64, 64), (65, 300), (129, 7), (300, 1), (1000, 3)]
     interval = sys.getswitchinterval()
@@ -408,6 +409,7 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
 
 def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(morphology, "_WORKERS", 3)
+    monkeypatch.setattr(morphology, "_STRIP_WORK", 1)
     raised_on = []
 
     class FailsOnLastRow(type(PRODUCT)):
@@ -424,6 +426,26 @@ def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch):
         dilate(StructuringElement({(0, 0): 0.5}), GridImage(px), MorphConfig(FailsOnLastRow()))
     assert threading.active_count() == before
     assert raised_on and threading.main_thread() not in raised_on
+
+
+@pytest.mark.parametrize("side, name, helpers", [
+    (256, "disk5", 0), (256, "cone7", 0), (512, "cross3", 0), (512, "disk5", 0), (512, "cone7", 1),
+])
+def test_only_folds_with_enough_work_per_strip_start_a_helper(monkeypatch, side, name, helpers):
+    # a helper costs more than it saves on a small fold and makes its time vary
+    monkeypatch.setattr(morphology, "_WORKERS", 2)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(morphology.threading, "Thread", Counted)
+    se = cone() if name == "cone7" else preset(name)
+    img = GridImage(np.random.default_rng(71).uniform(0.0, 1.0, (side, side)))
+    assert_matches_per_offset(se, img, MorphConfig(PRODUCT))
+    assert len(started) == 2 * helpers  # one dilate and one erode
 
 
 def test_import_starts_no_thread_and_no_pool():
