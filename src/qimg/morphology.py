@@ -12,7 +12,6 @@ hold), ``one`` or ``replicate``.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -109,11 +108,12 @@ def reflect(se: StructuringElement) -> StructuringElement:
 # tile's view, buffer and output stays in L2 cache.  The rows are split
 # into at most one horizontal strip per usable CPU, each at least one tile
 # tall and each folding at least _STRIP_WORK view pixels (pixels times
-# nonzero offsets): the calling thread folds the first strip and helper
-# threads the others, in parallel because NumPy's ufunc loops release the
-# GIL.  Below that much work a helper's start, join and GIL hand-offs cost
-# more than the strip saves and make the op's time vary from call to call,
-# so a 256^2 raster, or 512^2 under cross3 or disk5, runs inline.
+# nonzero offsets): the calling thread folds the first strip and the
+# threads of a ThreadPoolExecutor made for the call fold the others, in
+# parallel because NumPy's ufunc loops release the GIL.  Below that much
+# work a helper's start, join and GIL hand-offs cost more than the strip
+# saves and make the op's time vary from call to call, so a 256^2 raster,
+# or 512^2 under cross3 or disk5, runs inline, without importing the pool.
 # Every step above is elementwise per output pixel (max, min and a map by
 # a scalar v), so no split of the rows changes a value, whatever the
 # worker count.
@@ -126,39 +126,32 @@ except AttributeError:  # no affinity call on macOS and Windows
     _WORKERS = os.cpu_count() or 1
 
 
+def _clamp(offset, rows: int, cols: int) -> tuple[int, int]:
+    """The offset clamped to +-rows, +-cols: a longer shift reads only padding, as a shift by the extent does."""
+    dy, dx = offset
+    return min(max(dy, -rows), rows), min(max(dx, -cols), cols)
+
+
 def _run_strips(fold_rows, rows: int, work: int) -> None:
     """Call fold_rows(start, stop) on each strip of rows, one per worker at most; join every helper first."""
     n = max(1, min(_WORKERS, rows // _TILE, work // _STRIP_WORK))
+    if n == 1:
+        return fold_rows(0, rows)  # inline: no pool and no import
+    from concurrent.futures import ThreadPoolExecutor  # on the first threaded fold, not at import
     bounds = [rows * i // n for i in range(n + 1)]
-    errors = []
-
-    def work(start, stop):
-        try:
-            fold_rows(start, stop)
-        except BaseException as exc:  # re-raised by the caller, once every helper is joined
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            t = threading.Thread(target=work, args=(start, stop))
-            t.start()
-            helpers.append(t)
+    with ThreadPoolExecutor(n - 1) as helpers:  # leaving the block joins every helper
+        rest = helpers.map(fold_rows, bounds[1:-1], bounds[2:])
         fold_rows(bounds[0], bounds[1])
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+        list(rest)  # re-raises a helper's error
 
 
 def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empty: float):
     """out(y) = fold over the offsets d of act(se(d), img(y + sign * d)); empty if none."""
     rows, cols = img.shape
     levels: dict[float, list[tuple[int, int]]] = {}  # nonzero weight -> its offsets
-    for (dy, dx), v in se.items():
+    for d, v in se.items():
         if v != 0.0:
-            levels.setdefault(v, []).append((min(max(dy, -rows), rows), min(max(dx, -cols), cols)))
+            levels.setdefault(v, []).append(_clamp(d, rows, cols))
     require_carrier(cfg.q, np.array(list(levels)))
     require_carrier(cfg.q, img.pixels)
     out = np.full(img.shape, empty)
@@ -216,7 +209,7 @@ def toeplitz_kernel(se: StructuringElement, rows: int, cols: int, cfg: MorphConf
     and erosion without the windowed shortcuts.  Each offset is one band of
     entries, so the kernel stores at most |se| entries per pixel.
     """
-    offsets = np.array(list(se.entries.keys()))  # (|se|, 2)
+    offsets = np.array([_clamp(d, rows, cols) for d in se.entries])  # (|se|, 2)
     v = np.array(list(se.entries.values()))
     r = np.arange(rows)[:, None, None]
     c = np.arange(cols)[None, :, None]

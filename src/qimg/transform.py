@@ -111,6 +111,7 @@ class Kernel:
             w = arr.reshape(-1)[flat]
         else:
             x, y, w = (np.asarray(a).reshape(-1) for a in entries)
+            x, y = (i if i.size else i.astype(np.intp) for i in (x, y))  # np.asarray([]) is float
             _check_entries(x, y, w, domain.size, codomain.size)
         q.check(w)  # NaN and every value outside the carrier are nonzero, so they are in w
         keep = w >= TINY

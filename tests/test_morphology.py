@@ -407,25 +407,30 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
         sys.setswitchinterval(interval)
 
 
-def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+@pytest.mark.parametrize("row", [-1, 0], ids=["helper-strip", "caller-strip"])
+def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch, row):
+    # the last row lies in a helper's strip, the first in strip 0, folded by the caller
     monkeypatch.setattr(morphology, "_WORKERS", 3)
     monkeypatch.setattr(morphology, "_STRIP_WORK", 1)
     raised_on = []
 
-    class FailsOnLastRow(type(PRODUCT)):
+    class FailsOnOneRow(type(PRODUCT)):
         def _mul(self, x, y):
-            if np.any(y == 0.25):  # only the last row holds 0.25
+            if np.any(y == 0.25):  # only the failing row holds 0.25
                 raised_on.append(threading.current_thread())
-                raise ArithmeticError("last strip")
+                raise ArithmeticError("one strip")
             return super()._mul(x, y)
 
     px = np.full((512, 512), 0.5)
-    px[-1] = 0.25
+    px[row] = 0.25
     before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="last strip"):
-        dilate(StructuringElement({(0, 0): 0.5}), GridImage(px), MorphConfig(FailsOnLastRow()))
+    with pytest.raises(ArithmeticError, match="one strip"):
+        dilate(StructuringElement({(0, 0): 0.5}), GridImage(px), MorphConfig(FailsOnOneRow()))
     assert threading.active_count() == before
-    assert raised_on and threading.main_thread() not in raised_on
+    if row == 0:
+        assert raised_on == [threading.main_thread()]
+    else:
+        assert raised_on and threading.main_thread() not in raised_on
 
 
 @pytest.mark.parametrize("side, name, helpers", [
@@ -441,7 +446,7 @@ def test_only_folds_with_enough_work_per_strip_start_a_helper(monkeypatch, side,
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(morphology.threading, "Thread", Counted)
+    monkeypatch.setattr(threading, "Thread", Counted)  # the pool starts its workers through it
     se = cone() if name == "cone7" else preset(name)
     img = GridImage(np.random.default_rng(71).uniform(0.0, 1.0, (side, side)))
     assert_matches_per_offset(se, img, MorphConfig(PRODUCT))
@@ -449,13 +454,16 @@ def test_only_folds_with_enough_work_per_strip_start_a_helper(monkeypatch, side,
 
 
 def test_import_starts_no_thread_and_no_pool():
-    # perfbench's setup_s times this import, so helper threads start only inside a call
+    # perfbench's setup_s times this import, so helper threads start only inside a call;
+    # a 256^2 disk5 dilation, the cli's, folds inline and never imports the pool either
     probe = ("import sys, threading; sys.path.insert(0, sys.argv[1]); import qimg, qimg.cli; "
-             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+             "report = lambda: print(threading.active_count(), 'concurrent.futures' in sys.modules); "
+             "report(); import numpy as np; img = qimg.GridImage(np.full((256, 256), 0.5)); "
+             "qimg.dilate(qimg.preset('disk5'), img, qimg.MorphConfig(qimg.PRODUCT)); report()")
     src = str(Path(morphology.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                           check=True, timeout=120)
-    assert done.stdout.split() == ["1", "False"]
+    assert done.stdout.split() == ["1", "False", "1", "False"]
 
 
 # --- the Toeplitz bridge to the transform module --------------------------------------
@@ -495,6 +503,10 @@ def test_toeplitz_kernel_matches_its_dense_construction(q):
             se = random_se(rng, q, radius=radius, count=6)
             assert np.array_equal(toeplitz_kernel(se, rows, cols, cfg).values,
                                   toeplitz_values_dense(se, rows, cols))
+        # an offset far past the raster, which np.array could not hold as int64
+        far = StructuringElement({**se.entries, (10**20, 1): 1.0})
+        assert np.array_equal(toeplitz_kernel(far, rows, cols, cfg).values,
+                              toeplitz_values_dense(far, rows, cols))
 
 
 @pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)

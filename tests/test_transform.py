@@ -260,11 +260,14 @@ def test_identity_is_orthonormal():
 
 
 def test_all_zero_kernel_is_general_but_orthogonal():
-    p = Kernel(GOEDEL, IndexSet(3), IndexSet(2), np.zeros((3, 2)))
-    result = classify(p)
-    assert result.level is KernelLevel.GENERAL
-    assert result.epsilon is None
-    assert result.orthogonal
+    # as dense zeros and as empty entry lists, which np.asarray makes float
+    for p in (Kernel(GOEDEL, IndexSet(3), IndexSet(2), np.zeros((3, 2))),
+              Kernel(GOEDEL, IndexSet(3), IndexSet(2), entries=([], [], []))):
+        assert np.array_equal(p.values, np.zeros((3, 2)))
+        result = classify(p)
+        assert result.level is KernelLevel.GENERAL
+        assert result.epsilon is None
+        assert result.orthogonal
 
 
 def test_normal_but_not_strong_example():
