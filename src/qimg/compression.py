@@ -19,7 +19,7 @@ from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, quantale
 from .transform import (KERNEL_MAGIC, Kernel, _parse_kernel, _read_lines, forward, inverse,
-                        read_kernel, write_kernel)
+                        write_kernel)
 
 __all__ = [
     "Codebook",
@@ -81,18 +81,48 @@ def _nodes(length: int, count: int) -> np.ndarray:
 
 
 def _hat_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per position, the lower of the two bumps that cover it, and both heights.
+    """Per position, the two bumps that cover it and their heights, each shaped (length, 2).
 
     Bump h is 1 at node h and falls linearly to 0 at the neighbouring nodes,
-    so a position between nodes h and h + 1 lies under those two bumps only.
-    Returns h, capped at count - 2, and a (length, 2) array of the heights of
-    bumps h and h + 1 there; at a node one of the two is 0.
+    so a position between nodes h and h + 1 lies under those two bumps only;
+    h is capped at count - 2, and at a node one of the two heights is 0.
     """
     nodes = _nodes(length, count)
     i = np.arange(length)
     h = np.minimum(np.searchsorted(nodes, i, side="right") - 1, count - 2)
     left, right = nodes[h], nodes[h + 1]
-    return h, np.stack([(right - i) / (right - left), (i - left) / (right - left)], axis=1)
+    heights = np.stack([(right - i) / (right - left), (i - left) / (right - left)], axis=1)
+    return h[:, None] + np.arange(2), heights
+
+
+def _block_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position, its block of count near-equal ones and its weight, each shaped (length, 1).
+
+    At distance d from the block centre over the block's reach, the weight
+    0.2 + 0.8 * (1 - d) is exactly 1.0 at d = 0 and 0.2 at d = 1, and as a
+    float it never increases with d.
+    """
+    edges = np.array([length * h // count for h in range(count + 1)])
+    lo, hi = edges[:-1], edges[1:]
+    centre = (lo + hi - 1) // 2
+    reach = np.maximum(centre - lo, hi - 1 - centre)
+    block = np.repeat(np.arange(count), hi - lo)
+    d = np.abs(np.arange(length) - centre[block]) / np.maximum(reach[block], 1)
+    return block[:, None], (0.2 + 0.8 * (1.0 - d))[:, None]
+
+
+def _separable(q: Quantale, m: int, n: int, a: int, b: int, rows, cols, combine) -> Kernel:
+    """The kernel with entry ((i,j),(h,k)) = combine(row weight, column weight), zeros dropped.
+
+    rows (cols) holds, per image row (column), its code rows (columns) and their
+    weights; entries are grouped by pixel, then row slot, then column slot.
+    """
+    (hs, hw), (ks, kw) = rows, cols
+    w = combine(hw[:, None, :, None], kw[None, :, None, :])  # (m, n, s, t)
+    nz = w != 0.0
+    x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), w.shape)[nz]
+    y = (hs[:, None, :, None] * b + ks[None, :, None, :])[nz]
+    return Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w[nz]))
 
 
 def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
@@ -105,52 +135,20 @@ def build_triangular_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Co
     pixel, at most 2 x 2, are formed.
     """
     _check_builder_params(q, m, n, a, b, minimum=2)
-    hi, ht = _hat_axis(m, a)
-    ki, kt = _hat_axis(n, b)
-    w = ht[:, None, :, None] * kt[None, :, None, :]
-    nz = w != 0.0  # drop the products with a zero height on either axis
-    x = np.broadcast_to(np.arange(m * n).reshape(m, n, 1, 1), w.shape)[nz]
-    hs, ks = hi[:, None] + np.arange(2), ki[:, None] + np.arange(2)  # slot s holds bump h + s
-    y = (hs[:, None, :, None] * b + ks[None, :, None, :])[nz]
-    w = w[nz]
-    kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(x, y, w))
+    kernel = _separable(q, m, n, a, b, _hat_axis(m, a), _hat_axis(n, b), np.multiply)
     return _unchecked(Codebook, kernel, "triangular")
-
-
-def _block_axis(length: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split 0..length-1 into count near-equal blocks.
-
-    Returns, per position, its block, its distance from the block centre
-    over the block's reach (0 for a one-position block) and whether it is
-    the centre.
-    """
-    edges = np.array([length * h // count for h in range(count + 1)])
-    lo, hi = edges[:-1], edges[1:]
-    centre = (lo + hi - 1) // 2
-    reach = np.maximum(centre - lo, hi - 1 - centre)
-    block = np.repeat(np.arange(count), hi - lo)
-    offset = np.abs(np.arange(length) - centre[block])
-    return block, offset / np.maximum(reach[block], 1), offset == 0
 
 
 def build_block_codebook(q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
     """Disjoint rectangular blocks; classifies orthonormal by construction.
 
     The grid splits into a x b blocks of near-equal size.  Inside block
-    (h,k) the weight is 1 at the block centre and decays linearly to a
-    floor of 0.2 at the block boundary; outside it is 0, so distinct code
-    cells never overlap and each pixel has one entry.
+    (h,k) the weight, the min of two axis weights, is 1 at the block centre
+    and decays linearly to a floor of 0.2 at the block boundary; outside it
+    is 0, so distinct code cells never overlap and each pixel has one entry.
     """
     _check_builder_params(q, m, n, a, b, minimum=1)
-    h, dr, rc = _block_axis(m, a)
-    k, dc, cc = _block_axis(n, b)
-    # written so both endpoints are exact: 1.0 at the centre, 0.2 at the rim
-    w = 0.2 + 0.8 * (1.0 - np.maximum(dr[:, None], dc[None, :]))
-    w[rc[:, None] & cc[None, :]] = 1.0
-    y = h[:, None] * b + k[None, :]
-    kernel = Kernel(
-        q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), entries=(np.arange(m * n), y, w)
-    )
+    kernel = _separable(q, m, n, a, b, _block_axis(m, a), _block_axis(n, b), np.minimum)
     return _unchecked(Codebook, kernel, "block")
 
 
@@ -230,11 +228,6 @@ def write_codebook(path, cb: Codebook) -> None:
         fh.write(f"{CODEBOOK_MAGIC}\n{cb.kernel.q.family} {cb.builder} {m} {n} {a} {b}\n")
 
 
-def _is_codebook_file(path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.readline(64).strip() == CODEBOOK_MAGIC.encode()
-
-
 def _params(fields: list[str], names: tuple[str, ...]) -> tuple[str, int, int, int, int]:
     """The builder name, one of names, and grid sizes of the fields '<builder> <m> <n> <a> <b>'."""
     if fields[0] not in names:
@@ -246,8 +239,8 @@ def _params(fields: list[str], names: tuple[str, ...]) -> tuple[str, int, int, i
     return fields[0], m, n, a, b
 
 
-def _read_qcodebook(path) -> Codebook:
-    lines, _ = _read_lines(path, CODEBOOK_MAGIC)
+def _rebuild(lines: list[str]) -> Codebook:
+    """The codebook of a QCODEBOOK 1 file's data lines, rebuilt from its parameters."""
     if len(lines) != 1:
         raise ParseError(f"expected one parameter line, found {len(lines)} data lines")
     parts = lines[0].split()
@@ -260,9 +253,9 @@ def _read_qcodebook(path) -> Codebook:
 @_names_file
 def read_codebook(path) -> Codebook:
     """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
-    if _is_codebook_file(path):
-        return _read_qcodebook(path)
-    lines, comments = _read_lines(path, KERNEL_MAGIC)
+    magic, lines, comments = _read_lines(path, CODEBOOK_MAGIC, KERNEL_MAGIC)
+    if magic == CODEBOOK_MAGIC:
+        return _rebuild(lines)
     for c in comments:
         parts = c.split()
         if len(parts) == 6 and parts[0] == "builder":
@@ -273,8 +266,8 @@ def read_codebook(path) -> Codebook:
     return Codebook(_parse_kernel(lines, ((m, n), (a, b))))
 
 
+@_names_file
 def load_kernel(path) -> Kernel:
     """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
-    if _is_codebook_file(path):
-        return read_codebook(path).kernel
-    return read_kernel(path)[0]
+    magic, lines, _ = _read_lines(path, CODEBOOK_MAGIC, KERNEL_MAGIC)
+    return _rebuild(lines).kernel if magic == CODEBOOK_MAGIC else _parse_kernel(lines)

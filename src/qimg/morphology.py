@@ -262,7 +262,7 @@ def write_sel(path, se: StructuringElement) -> None:
 
 @_names_file
 def read_sel(path) -> StructuringElement:
-    lines, _ = _read_lines(path, SEL_MAGIC)
+    _, lines, _ = _read_lines(path, SEL_MAGIC)
     entries = {}
     for i, ln in enumerate(lines):
         parts = ln.split()

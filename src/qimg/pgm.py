@@ -13,6 +13,7 @@ import re
 import numpy as np
 
 from .errors import ParseError, _names_file
+from .free_module import _unchecked
 from .grid import GridImage
 
 __all__ = ["read_pgm", "write_pgm"]
@@ -80,7 +81,8 @@ def read_pgm(path) -> GridImage:
                 samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
         if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
             raise _bad_sample(data, pos, count, len(tokens))
-    return GridImage(samples.reshape(height, width) / MAXVAL)
+    # every sample is in 0..MAXVAL, so every pixel is 0 or a normal float in [1/255, 1]
+    return _unchecked(GridImage, samples.reshape(height, width) / MAXVAL)
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:

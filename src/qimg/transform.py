@@ -328,15 +328,16 @@ def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
-    """Data lines and comment texts after the magic line, stripped; blank lines dropped."""
+def _read_lines(path, *magics: str) -> tuple[str, list[str], list[str]]:
+    """The magic line, one of magics, then the data lines and comment texts, stripped; no blanks."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != magic:
-        raise ParseError(f"missing '{magic}' header")
+    magic = raw[0].strip() if raw else ""
+    if magic not in magics:
+        raise ParseError(f"missing {' or '.join(repr(m) for m in magics)} header")
     stripped = [ln.strip() for ln in raw[1:]]
     comments = [ln[1:].strip() for ln in stripped if ln.startswith("#")]
-    return [ln for ln in stripped if ln and not ln.startswith("#")], comments
+    return magic, [ln for ln in stripped if ln and not ln.startswith("#")], comments
 
 
 def _bad_row(rows: list[str], ny: int) -> str:
@@ -384,5 +385,5 @@ def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
 @_names_file
 def read_kernel(path) -> tuple[Kernel, list[str]]:
     """Parse a QKERNEL file; returns the kernel and any comment lines."""
-    lines, comments = _read_lines(path, KERNEL_MAGIC)
+    _, lines, comments = _read_lines(path, KERNEL_MAGIC)
     return _parse_kernel(lines), comments

@@ -245,6 +245,7 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
         # pixel counts inside the index range whose first axis (7 PiB) fails at once
         "QCODEBOOK 1\ngoedel triangular 1000000000000000 2 2 2\n",
         "QCODEBOOK 1\nproduct block 1000000000000000 2 2 2\n",
+        "QSEL 1\n0 0 1.0\n",
     ],
     ids=["unknown-builder", "codes-exceed-image", "params-unknown-builder", "params-custom",
          "params-unknown-family", "params-boolean", "params-non-integer-size",
@@ -252,7 +253,7 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
          "params-missing-value", "params-unallocatable-triangular",
          "params-unallocatable-block", "params-past-index-range-triangular",
          "params-past-index-range-block", "params-unallocatable-axis-triangular",
-         "params-unallocatable-axis-block"],
+         "params-unallocatable-axis-block", "neither-format"],
 )
 def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys, text):
     path = tmp_path / "cb.qk"
@@ -262,8 +263,10 @@ def test_codebook_construction_errors_name_the_file(tmp_path, grey_image, capsys
     assert str(exc.value).count(str(path)) == 1
     assert main(["compress", "--codebook", str(path), str(grey_image), str(tmp_path / "o.pgm")]) == 2
     assert capsys.readouterr().err.count(str(path)) == 1
-    if text.startswith("QCODEBOOK"):
-        # classify reads no builder comment, so only the parameter files fail there
+    if text.startswith("QSEL"):
+        assert "QCODEBOOK 1" in str(exc.value) and "QKERNEL 1" in str(exc.value)
+    if not text.startswith("QKERNEL"):
+        # classify reads no builder comment, so its QKERNEL files parse there
         assert main(["classify", "--kernel", str(path)]) == 2
         assert capsys.readouterr().err.count(str(path)) == 1
 
