@@ -32,27 +32,27 @@ def _load_se(name_or_path: str) -> morphology.StructuringElement:
     return morphology.read_sel(name_or_path)
 
 
-def cmd_gen_codebook(args) -> int:
+def cmd_gen_codebook(args) -> None:
     m, n = _parse_pair(args.size, "--size")
     a, b = _parse_pair(args.codes, "--codes")
     q = quantale(args.quantale)
     cb = compression._build(args.builder, q, m, n, a, b)
     compression.write_codebook(args.out, cb)
     print(f"wrote {args.builder} codebook {m}x{n} -> {a}x{b} ({q.family}) to {args.out}")
-    return 0
 
 
-def cmd_codec(args) -> int:
+def cmd_codec(args) -> None:
     cb = compression.read_codebook(args.codebook)
+    # built per call, so a rebound module function (a tracing wrapper) is the one called
     op = {"compress": compression.compress, "reconstruct": compression.reconstruct}[args.command]
     img = pgm.read_pgm(args.input)
     pgm.write_pgm(args.output, op(cb, img))
-    return 0
 
 
-def cmd_morphology(args) -> int:
+def cmd_morphology(args) -> None:
     se = _load_se(args.se)
     cfg = morphology.MorphConfig(q=quantale(args.quantale), padding=args.pad)
+    # built per call, as in cmd_codec
     op = {
         "dilate": morphology.dilate,
         "erode": morphology.erode,
@@ -61,10 +61,9 @@ def cmd_morphology(args) -> int:
     }[args.command]
     img = pgm.read_pgm(args.input)
     pgm.write_pgm(args.output, op(se, img, cfg))
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     kernel = compression.load_kernel(args.kernel)
     result = transform.classify(kernel)
     print(result.level.value)
@@ -74,14 +73,12 @@ def cmd_classify(args) -> int:
     else:
         print("epsilon none")
     print(f"orthogonal {'true' if result.orthogonal else 'false'}")
-    return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     a = pgm.read_pgm(args.image_a)
     b = pgm.read_pgm(args.image_b)
     print(f"mse {compression.mse(a, b):.6f}, psnr {compression.psnr(a, b):.6f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,25 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_codebook)
 
-    for name, blurb in (
-        ("compress", "compress a PGM image through a codebook"),
-        ("reconstruct", "reconstruct a PGM image from its compression"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--codebook", required=True)
-        p.add_argument("input")
-        p.add_argument("output")
-        p.set_defaults(func=cmd_codec)
+    # commands that take the same arguments share one subparser, and argparse
+    # stores the name typed in args.command
+    p = sub.add_parser("compress", aliases=["reconstruct"], prog="qimg compress|reconstruct",
+                       help="compress a PGM image through a codebook, or reconstruct it"
+                            " from its compression")
+    p.add_argument("--codebook", required=True)
+    p.add_argument("input")
+    p.add_argument("output")
+    p.set_defaults(func=cmd_codec)
 
-    for name in ("dilate", "erode", "open", "close"):
-        p = sub.add_parser(name, help=f"{name} a PGM image by a structuring element")
-        p.add_argument("--se", required=True,
-                       help="QSEL file or preset: " + ", ".join(sorted(morphology.PRESETS)))
-        p.add_argument("--quantale", default="goedel", choices=families)
-        p.add_argument("--pad", default="zero", choices=morphology.PADDINGS)
-        p.add_argument("input")
-        p.add_argument("output")
-        p.set_defaults(func=cmd_morphology)
+    p = sub.add_parser("dilate", aliases=["erode", "open", "close"],
+                       prog="qimg dilate|erode|open|close",
+                       help="dilate, erode, open or close a PGM image by a structuring element")
+    p.add_argument("--se", required=True,
+                   help="QSEL file or preset: " + ", ".join(sorted(morphology.PRESETS)))
+    p.add_argument("--quantale", default="goedel", choices=families)
+    p.add_argument("--pad", default="zero", choices=morphology.PADDINGS)
+    p.add_argument("input")
+    p.add_argument("output")
+    p.set_defaults(func=cmd_morphology)
 
     p = sub.add_parser("classify", help="classify a kernel file in the coder hierarchy")
     p.add_argument("--kernel", required=True)
@@ -133,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:  # DomainError, ShapeError and ParseError included
         print(f"qimg: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"qimg: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -200,19 +200,12 @@ CODEBOOK_MAGIC = "QCODEBOOK 1"
 BUILDERS = ("triangular", "block")
 
 
-def _builder(name: str):
-    """The builder function called name, one of BUILDERS.
-
-    Looked up on each call, so a rebound module attribute (a tracing
-    wrapper, say) is the one called.
-    """
-    return {"triangular": build_triangular_codebook, "block": build_block_codebook}[name]
-
-
 def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
     """Run the builder called name; grids too large to allocate are a ValueError."""
+    # built per call, so a rebound module attribute (a tracing wrapper) is the one called
+    builder = {"triangular": build_triangular_codebook, "block": build_block_codebook}[name]
     try:
-        return _builder(name)(q, m, n, a, b)
+        return builder(q, m, n, a, b)
     except MemoryError as exc:
         raise ValueError(f"codebook {m}x{n} -> {a}x{b} cannot be built: {exc}") from None
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line surface."""
 
 import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +15,24 @@ from qimg import (
     GridImage,
     IndexSet,
     Kernel,
+    MorphConfig,
     ParseError,
     build_block_codebook,
     build_triangular_codebook,
     cli,
+    closing,
+    compress,
+    dilate,
+    erode,
     identity_kernel,
     load_kernel,
+    opening,
     quantale,
     read_codebook,
     read_kernel,
     read_pgm,
+    read_sel,
+    reconstruct,
     write_codebook,
     write_kernel,
     write_pgm,
@@ -135,6 +146,43 @@ def test_open_close_commands(tmp_path, grey_image):
         assert main([cmd, "--se", "square3", str(grey_image), str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["compress", "reconstruct", "dilate", "erode", "open", "close"])
+def test_each_image_command_runs_its_own_operation(tmp_path, command):
+    # commands sharing a subparser are told apart by name alone, so each must run its own operation
+    product = quantale("product")
+    raster, compressed = tmp_path / "in.pgm", tmp_path / "compressed.pgm"
+    write_pgm(raster, GridImage(np.random.default_rng(74).uniform(0, 1, (12, 10))))
+    sel = tmp_path / "se.qsel"
+    sel.write_text("QSEL 1\n0 0 1.0\n0 1 0.5\n1 -1 0.25\n")
+    cb_path = tmp_path / "cb.qk"
+    cb = build_triangular_codebook(product, 12, 10, 4, 3)
+    write_codebook(cb_path, cb)
+    img, se, cfg = read_pgm(raster), read_sel(sel), MorphConfig(product)
+    small = compress(cb, img)
+    write_pgm(compressed, small)
+    library = {
+        "compress": small,
+        "reconstruct": reconstruct(cb, read_pgm(compressed)),
+        "dilate": dilate(se, img, cfg),
+        "erode": erode(se, img, cfg),
+        "open": opening(se, img, cfg),
+        "close": closing(se, img, cfg),
+    }
+    expected = {}
+    for name, result in library.items():
+        write_pgm(tmp_path / f"{name}-library.pgm", result)
+        expected[name] = (tmp_path / f"{name}-library.pgm").read_bytes()
+    morph = [expected[name] for name in ("dilate", "erode", "open", "close")]
+    assert len(set(morph)) == 4
+    out = tmp_path / "out.pgm"
+    if command in ("compress", "reconstruct"):
+        argv = ["--codebook", str(cb_path), str(compressed if command == "reconstruct" else raster)]
+    else:
+        argv = ["--se", str(sel), "--quantale", "product", str(raster)]
+    assert main([command, *argv, str(out)]) == 0
+    assert out.read_bytes() == expected[command]
+
+
 def test_metrics_output_format(tmp_path, grey_image, capsys):
     assert main(["metrics", str(grey_image), str(grey_image)]) == 0
     assert capsys.readouterr().out.strip() == "mse 0.000000, psnr inf"
@@ -191,22 +239,46 @@ def test_unknown_flags_exit_2(capsys):
         assert exc.value.code == 2
 
 
-def test_readme_synopsis_matches_the_parser():
-    # each `qimg a|b|...` entry of the README's CLI block lists the flags of its subcommands
+def test_readme_synopsis_matches_the_parser(capsys):
+    # each `qimg a|b|...` entry of the README's CLI block is one subparser: the commands that
+    # share it, its prog and its flags
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
     block = block.split("```text\n", 1)[1].split("```", 1)[0]
     documented = {}
     for line in block.replace("\\\n", " ").splitlines():
         words = line.split()
         assert words[0] == "qimg", line
-        flags = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
-        documented.update((name, flags) for name in words[1].split("|"))
+        documented[words[1]] = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    parsed = {
-        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
-        for name, p in sub.choices.items()
-    }
+    names = {}
+    for name, p in sub.choices.items():
+        names.setdefault(p, []).append(name)
+    parsed = {}
+    for p, shared in names.items():
+        synopsis = "|".join(shared)
+        assert p.prog == f"qimg {synopsis}"
+        parsed[synopsis] = {
+            s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
     assert documented == parsed
+    for command, usage in (("erode", "usage: qimg dilate|erode|open|close"),
+                           ("reconstruct", "usage: qimg compress|reconstruct")):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["metrics", str(SAMPLE), str(SAMPLE)], 0),
+    (["metrics", "missing.pgm", str(SAMPLE)], 1),
+    (["erode"], 2),
+], ids=["success", "io-failure", "usage"])
+def test_exit_codes_reach_the_process(tmp_path, argv, code):
+    # main alone sets the exit code; the module entry point hands it to the interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qimg.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
 
 
 def test_bundled_sample_compresses():
