@@ -26,6 +26,9 @@ REAL_FAMILIES = (GOEDEL, PRODUCT, LUKASIEWICZ)
 
 TOL = 1e-12
 
+# 1 and 1 - ulp meet inside one level; TINY is the smallest value kept
+ADVERSARIAL = (0.0, TINY, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
+
 LEVEL_RANK = {"general": 0, "coder": 1, "normal": 2, "strong": 3, "orthonormal": 4}
 
 

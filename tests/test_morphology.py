@@ -34,8 +34,8 @@ from qimg import (
 )
 from qimg import morphology
 from qimg.morphology import PADDINGS, PRESETS
-from qimg.quantale import TINY
 from support import (
+    ADVERSARIAL,
     ALL_FAMILIES,
     REAL_FAMILIES,
     binary_brute_dilate,
@@ -297,10 +297,6 @@ def test_opening_closing_laws(q):
 
 # --- the level fold against the per-offset oracle ---------------------------------------
 
-# 1 and 1 - ulp meet inside one level; TINY is the smallest value kept
-ADVERSARIAL = (0.0, TINY, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
-
-
 def cone(radius=3):
     """A fuzzy (2r+1)^2 cone: 1 at the origin, nine weight levels, 0 at the corners."""
     foot = radius + 1.0
@@ -311,21 +307,60 @@ def cone(radius=3):
     })
 
 
+def boolean_cone():
+    """The cone's support, all of weight 1."""
+    return StructuringElement({d: float(v > 0.0) for d, v in cone().items()})
+
+
+def nested_runs(weights, bounds, rows):
+    """Rows of nested column runs, heaviest innermost.
+
+    Level i spans the columns bounds[i] = (lo, hi), inside the next level's
+    span.  Row dy holds the outermost span and joins at level rows[dy], so
+    its inner columns weigh weights[rows[dy]]: rows that join at one level
+    repeat one run, and all rows share the outer runs.
+    """
+    lo, hi = bounds[-1]
+    level = {dx: next(i for i, (a, b) in enumerate(bounds) if a <= dx <= b)
+             for dx in range(lo, hi + 1)}
+    return StructuringElement({(dy, dx): weights[max(first, i)]
+                               for dy, first in rows.items() for dx, i in level.items()})
+
+
 def assert_matches_per_offset(se, img, cfg):
     assert dilate(se, img, cfg).pixels.tobytes() == dilate_per_offset(se, img, cfg).tobytes()
     assert erode(se, img, cfg).pixels.tobytes() == erode_per_offset(se, img, cfg).tobytes()
 
 
 @st.composite
+def run_elements(draw, palette, radius):
+    # one to three weights, heaviest innermost, often without a weight-1 level;
+    # up to five rows, so rows repeat one run and share the runs that grow
+    weights = sorted(draw(st.lists(st.sampled_from(palette), min_size=1, max_size=3, unique=True)),
+                     reverse=True)
+    lo = hi = draw(st.integers(-radius, radius))
+    bounds = []
+    for _ in weights:
+        lo, hi = draw(st.integers(-radius, lo)), draw(st.integers(hi, radius))
+        bounds.append((lo, hi))
+    rows = draw(st.dictionaries(st.integers(-radius, radius), st.integers(0, len(weights) - 1),
+                                min_size=1, max_size=5))
+    return nested_runs(weights, bounds, rows)
+
+
+@st.composite
 def level_cases(draw, q):
     palette = (0.0, 1.0) if q is BOOLEAN else ADVERSARIAL
-    # a few distinct weights over up to 10 offsets, so levels hold several
-    # offsets; radius up to 8 against rasters of 1x1 up to 6x6
-    weights = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=3))
+    # radius up to 8 against rasters of 1x1 up to 6x6, so far offsets clamp onto one another
     radius = draw(st.integers(0, 8))
-    reach = st.integers(-radius, radius)
-    offsets = draw(st.lists(st.tuples(reach, reach), min_size=1, max_size=10, unique=True))
-    se = StructuringElement({d: draw(st.sampled_from(weights)) for d in offsets})
+    if draw(st.booleans()):
+        se = draw(run_elements(palette, radius))
+    else:
+        # a few distinct weights over up to 10 offsets, so levels hold several offsets
+        weights = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=3))
+        reach = st.integers(-radius, radius)
+        offsets = draw(st.lists(st.tuples(reach, reach), min_size=1, max_size=10, unique=True))
+        se = StructuringElement({d: draw(st.sampled_from(weights)) for d in offsets})
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     return se, GridImage(draw(arrays(float, shape, elements=st.sampled_from(palette))))
 
@@ -344,7 +379,7 @@ def test_level_fold_matches_per_offset_oracle_at_512(q):
     if q is BOOLEAN:
         img = random_binary(rng, (512, 512))
         elements = [preset(name) for name in sorted(PRESETS)]
-        elements.append(StructuringElement({d: float(v > 0.0) for d, v in cone().items()}))
+        elements.append(boolean_cone())
     else:
         px = rng.uniform(0.0, 1.0, (512, 512))
         spots = rng.random((512, 512)) < 0.1
@@ -383,8 +418,10 @@ def test_subnormal_weight_is_dropped_by_both_paths():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
     # shapes around the 64-row tile and 3-strip splits; the far offset on 130
-    # rows shifts by more than a 65-row strip.  Threads switch as often as the
-    # interpreter allows, so a write lost between strips would show.
+    # rows shifts by more than a 65-row strip, and the shared runs there are
+    # read by rows a tile and a strip apart, two of them clamped onto one.
+    # Threads switch as often as the interpreter allows, so a write lost
+    # between strips would show.
     monkeypatch.setattr(morphology, "_WORKERS", workers)
     monkeypatch.setattr(morphology, "_STRIP_WORK", 1)
     rng = np.random.default_rng(67)
@@ -394,17 +431,47 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
     try:
         for q in ALL_FAMILIES:
             if q is BOOLEAN:
-                se = StructuringElement({d: float(v > 0.0) for d, v in cone().items()})
+                se, weights = boolean_cone(), (1.0, 1.0, 1.0)
                 far = StructuringElement({(200, 0): 1.0, (0, 0): 1.0, (-1, 2): 1.0})
             else:
-                se, far = cone(), StructuringElement({(200, 0): 0.5, (0, 0): 1.0, (-1, 2): 0.75})
+                se, weights = cone(), (1.0, 1.0 - 2.0**-53, 0.5)
+                far = StructuringElement({(200, 0): 0.5, (0, 0): 1.0, (-1, 2): 0.75})
+            runs = nested_runs(weights, ((0, 0), (-1, 1), (-3, 3)),
+                               {-100: 2, -2: 0, -1: 1, 0: 0, 1: 1, 65: 2, 150: 0, 200: 1})
             for padding in PADDINGS:
                 cfg = MorphConfig(q, padding)
                 for shape in shapes:
                     assert_matches_per_offset(se, GridImage(unit_values(rng, shape, q)), cfg)
-                assert_matches_per_offset(far, GridImage(unit_values(rng, (130, 9), q)), cfg)
+                for tall in (far, runs):
+                    assert_matches_per_offset(tall, GridImage(unit_values(rng, (130, 9), q)), cfg)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name, most", [
+    ("cross3", 5), ("square3", 9), ("disk5", 13), ("cone7", 39), ("boolean-cone7", 15),
+])
+def test_nested_levels_and_shared_runs_cut_the_folds_per_tile(name, most):
+    # a 64x64 raster is one inline tile; one fold per offset makes 5, 9, 13,
+    # 53 and 45 calls, and the cone's 8 mul calls stay one per weight below 1
+    q = BOOLEAN if name == "boolean-cone7" else PRODUCT
+    se = {"cone7": cone, "boolean-cone7": boolean_cone}.get(name, lambda: preset(name))()
+    calls = {"fold": 0, "mul": 0}
+
+    def fold(*args, **kwargs):
+        calls["fold"] += 1
+        return np.maximum(*args, **kwargs)
+
+    def mul(v, a):
+        calls["mul"] += 1
+        return q._mul(v, a)
+
+    img = GridImage(unit_values(np.random.default_rng(73), (64, 64), q))
+    cfg = MorphConfig(q)
+    out = morphology._level_fold(se, img, cfg, -1, fold, mul, 0.0)
+    assert out.pixels.tobytes() == dilate_per_offset(se, img, cfg).tobytes()
+    assert calls["fold"] <= most
+    assert calls["mul"] == len(set(se.entries.values()) - {0.0, 1.0})
 
 
 @pytest.mark.parametrize("row", [-1, 0], ids=["helper-strip", "caller-strip"])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qimg import BOOLEAN, GOEDEL, LUKASIEWICZ, PRODUCT, DomainError, quantale
-from support import ALL_FAMILIES, REAL_FAMILIES, TOL, close, residuum_oracle
+from qimg.quantale import unit_carrier
+from support import ADVERSARIAL, ALL_FAMILIES, REAL_FAMILIES, TOL, close, residuum_oracle
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 bits = st.sampled_from([0.0, 1.0])
@@ -109,6 +110,23 @@ def test_mul_monotone(x, y, z):
     lo, hi = min(y, z), max(y, z)
     for q in REAL_FAMILIES:
         assert q.mul(x, lo) <= q.mul(x, hi) + TOL
+
+
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_weight_monotonicity_is_exact_on_floats(q):
+    # morphology folds an offset again at every lighter weight level; that is
+    # exact only while, as the weight grows, mul(., a) never falls and
+    # residuum(., a) never rises, the Lukasiewicz unit guards included
+    if q is BOOLEAN:
+        values = np.array([0.0, 1.0])
+    else:
+        base = np.concatenate([ADVERSARIAL, np.random.default_rng(73).uniform(0.0, 1.0, 24)])
+        near = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, 1.0)])
+        values = unit_carrier(np.unique(near), "weights")  # the carrier keeps no subnormal
+    v, w, a = np.meshgrid(values, values, values, indexing="ij")
+    lighter = v <= w
+    assert np.all(q._mul(v, a)[lighter] <= q._mul(w, a)[lighter])
+    assert np.all(q._residuum(v, a)[lighter] >= q._residuum(w, a)[lighter])
 
 
 @given(x=units, y=units)
