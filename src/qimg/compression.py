@@ -10,7 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,9 @@ class Codebook:
     """
 
     kernel: Kernel
-    builder: str = "custom"
+    builder: str = field(default="custom", init=False)
 
     def __post_init__(self):
-        if self.builder != "custom":
-            raise ValueError(f"only the builders label their own codebooks; "
-                             f"got builder {self.builder!r}, expected 'custom'")
         if self.kernel.domain.shape is None or self.kernel.codomain.shape is None:
             raise ShapeError("codebook kernels need 2-D shapes on both index sets")
         (m, n), (a, b) = self.kernel.domain.shape, self.kernel.codomain.shape

@@ -117,15 +117,21 @@ def reflect(se: StructuringElement) -> StructuringElement:
 # Read row by row, level k's offsets are one run of column shifts per row
 # shift, and a row's run only grows with k.  A run of two or more offsets
 # that two or more rows read is shared: once per tile it is folded into a
-# buffer of h + span canvas rows, where span <= 2r is the spread of the
-# rows that read shared runs, starting from the largest shared run inside
-# it that is already built.  Every row that reads it then folds one view
-# of that buffer; other rows fold the views of the offsets their run
-# gained.  So per 64-row tile the 7x7 cone makes 39 fold calls and 8 mul
-# calls under product, its Boolean form 12 fold calls, disk5 10 and cross3
-# 4, against 53, 45, 13 and 5 at one fold per offset.  A flat element (one
-# level, of weight 1) folds straight into the output tile.  Each shared run
-# holds one (64 + span) x cols buffer per strip.
+# buffer, starting from the largest shared run inside it that is already
+# built.  Every row that reads it then folds one view of that buffer;
+# other rows fold the views of the offsets their run gained.  Every source,
+# a single shift's canvas view or a shared run's buffer, is addressed in
+# canvas rows counted from row y of the tile, so a read shifted by dy
+# takes rows r + dy onward of any source.  A build folds only the window
+# of rows r + top to r + top + span + h, where top is the lowest row shift
+# that reads a shared run and span <= 2r the spread of those shifts; the
+# rows before the window are never written or read, so a far offset that
+# reads no shared run adds no rows to the builds.  So per 64-row tile the
+# 7x7 cone makes 39 fold calls and 8 mul calls under product, its Boolean
+# form 12 fold calls, disk5 10 and cross3 4.  A flat element (one level,
+# of weight 1) folds straight into the output tile.  Each shared run holds
+# one (64 + r + top + span) x cols buffer per strip, of which 64 + span
+# rows are written: 70 rows for the cone.
 #
 # The fold runs over the output in tiles of _TILE rows, so each pass over a
 # tile's view, buffer and output stays in L2 cache.  The rows are split
@@ -173,11 +179,15 @@ def _row_plan(levels, sign: int):
     """Plan the fold of the nested level sets, heaviest first, through shared row runs.
 
     Returns (top, span, builds, steps) in canvas shifts, sign times the
-    offsets.  Build j folds build ``base``'s buffer, if base is not None,
-    and the views of the column shifts xs into a buffer of h + span canvas
-    rows, starting at row shift top.  Step (v, reads) folds its reads into
-    the level accumulator: (y, None, x) reads the canvas view shifted by
-    (y, x), and (y, j, None) rows y - top onward of build j's buffer.
+    offsets.  A source is a run of column shifts: a single shift is the
+    canvas view shifted by its column, and a shared run is its buffer.
+    Both are read in one row coordinate: for the tile at output row y, row
+    i of every source is canvas row y + i.  Build (run, sources) folds its
+    largest sub-run already built, if there is one, then the single shifts
+    it still lacks, over only the window of row shifts top to top + span
+    (plus the tile's h rows) that shared runs are read at.  Step (v, reads)
+    folds each read (dy, run), the source run shifted by dy rows, into the
+    level accumulator.
     """
     runs: dict[int, frozenset] = {}  # canvas row shift -> column shifts folded so far
     grown = []  # per level: (v, [(y, run before, run after)]) for the rows that grew
@@ -188,23 +198,19 @@ def _row_plan(levels, sign: int):
         grown.append((v, [(y, before.get(y, frozenset()), run)
                           for y, run in sorted(runs.items()) if run != before.get(y)]))
     readers = Counter(run for _, rows in grown for _, _, run in rows)
-    index: dict[frozenset, int] = {}  # shared run -> its build
     builds = []
     for run in sorted((run for run, n in readers.items() if n >= 2 and len(run) >= 2), key=len):
-        base = max((sub for sub in index if sub < run), key=len, default=frozenset())
-        builds.append((index.get(base), sorted(run - base)))
-        index[run] = len(builds) - 1
+        base = max((sub for sub, _ in builds if sub < run), key=len, default=frozenset())
+        builds.append((run, ([base] if base else []) + [frozenset({x}) for x in sorted(run - base)]))
+    built = {run for run, _ in builds}
     steps = []
     for v, rows in grown:
         reads = []
         for y, old, new in rows:
-            if new in index:
-                reads.append((y, index[new], None))
-            else:
-                reads.extend((y, None, x) for x in sorted(new - old))
+            reads += [(y, new)] if new in built else [(y, frozenset({x})) for x in sorted(new - old)]
         if reads:  # a level whose offsets all clamp onto heavier ones adds nothing
             steps.append((v, reads))
-    shared_rows = [y for _, reads in steps for y, j, _ in reads if j is not None]
+    shared_rows = [y for _, reads in steps for y, run in reads if run in built]
     top = min(shared_rows, default=0)
     return top, max(shared_rows, default=0) - top, builds, steps
 
@@ -227,30 +233,27 @@ def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empt
     else:
         canvas = np.pad(img.pixels, r, constant_values=0.0 if cfg.padding == "zero" else 1.0)
     top, span, builds, steps = _row_plan(levels, sign)
+    shifts = {sign * dx for offsets in levels.values() for _, dx in offsets}
     flat = len(steps) == 1 and steps[0][0] == 1.0  # one level of weight 1 folds into the tile
 
     def fold_rows(start, stop):
         acc_buf = np.empty((min(_TILE, stop - start), cols))
-        run_bufs = [np.empty((len(acc_buf) + span, cols)) for _ in builds]
+        run_bufs = {run: np.empty((r + top + span + len(acc_buf), cols)) for run, _ in builds}
         for y in range(start, stop, _TILE):
             h = min(_TILE, stop - y)
             tile = out[y : y + h]
-            bufs = [buf[: h + span] for buf in run_bufs]
-            y0 = r + top + y  # the canvas row of every buffer's row 0
-            for buf, (base, xs) in zip(bufs, builds):
-                parts = [canvas[y0 : y0 + h + span, r + x : r + x + cols] for x in xs]
-                if base is not None:
-                    parts.insert(0, bufs[base])
-                fold(parts[0], parts[1], out=buf)
-                for part in parts[2:]:
-                    fold(buf, part, out=buf)
+            src = {frozenset({x}): canvas[y:, r + x : r + x + cols] for x in shifts}
+            src.update(run_bufs)  # row i of every source is canvas row y + i
+            window = slice(r + top, r + top + span + h)
+            for run, sources in builds:
+                buf = src[run][window]
+                fold(src[sources[0]][window], src[sources[1]][window], out=buf)
+                for part in sources[2:]:
+                    fold(buf, src[part][window], out=buf)
             acc = tile if flat else acc_buf[:h]
             for k, (v, reads) in enumerate(steps):
-                for i, (dy, j, dx) in enumerate(reads):
-                    if j is None:
-                        view = canvas[r + dy + y : r + dy + y + h, r + dx : r + dx + cols]
-                    else:
-                        view = bufs[j][dy - top : dy - top + h]
+                for i, (dy, run) in enumerate(reads):
+                    view = src[run][r + dy : r + dy + h]
                     if k == i == 0:
                         np.copyto(acc, view)
                     else:

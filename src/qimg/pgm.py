@@ -78,7 +78,7 @@ def read_pgm(path) -> GridImage:
         # count the samples against the header before allocating their array
         if len(tokens) >= count:
             with contextlib.suppress(ValueError, OverflowError):
-                samples = np.fromiter(map(int, tokens[:count]), dtype=np.int64, count=count)
+                samples = np.array(tokens[:count], dtype=np.int64)
         if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
             raise _bad_sample(data, pos, count, len(tokens))
     # every sample is in 0..MAXVAL, so every pixel is 0 or a normal float in [1/255, 1]

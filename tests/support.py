@@ -236,7 +236,7 @@ def custom_codebook(q, values, image_shape, code_shape) -> Codebook:
     m, n = image_shape
     a, b = code_shape
     kernel = Kernel(q, IndexSet(m * n, (m, n)), IndexSet(a * b, (a, b)), values)
-    return Codebook(kernel, "custom")
+    return Codebook(kernel)
 
 
 # --- dense references for the sparse kernel core ------------------------------------

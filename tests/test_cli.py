@@ -213,7 +213,7 @@ def test_validation_failures_exit_2(tmp_path, grey_image, capsys):
 def test_grey_image_through_a_boolean_codebook_exits_2(tmp_path, capsys):
     grid = IndexSet(16, (4, 4))
     cb = tmp_path / "eye.qk"
-    write_codebook(cb, Codebook(identity_kernel(BOOLEAN, grid), "custom"))
+    write_codebook(cb, Codebook(identity_kernel(BOOLEAN, grid)))
     grey, binary, out = tmp_path / "grey.pgm", tmp_path / "binary.pgm", tmp_path / "o.pgm"
     write_pgm(grey, GridImage(np.full((4, 4), 0.6)))
     write_pgm(binary, GridImage(np.eye(4)))

@@ -155,17 +155,18 @@ def test_block_supports_are_disjoint():
 def test_codebook_shape_sanity():
     with pytest.raises(ShapeError):
         custom_codebook(GOEDEL, np.ones((4, 9)), (2, 2), (3, 3))
-    with pytest.raises(ValueError):
-        Codebook(build_block_codebook(GOEDEL, 4, 4, 2, 2).kernel, "fancy")
 
 
 @pytest.mark.parametrize("build", [build_block_codebook, build_triangular_codebook])
 def test_only_builders_label_codebooks(build):
-    # not even the builder's own kernel: a label would be written as the parameters
+    # the label is no constructor argument, not even with the builder's own
+    # kernel: a label would be written as the parameters
     kernel = build(GOEDEL, 6, 6, 3, 3).kernel
-    for label in ("block", "triangular"):
-        with pytest.raises(ValueError, match="only the builders"):
+    for label in ("block", "triangular", "custom", "fancy"):
+        with pytest.raises(TypeError):
             Codebook(kernel, label)
+        with pytest.raises(TypeError):
+            Codebook(kernel, builder=label)
     assert Codebook(kernel).builder == "custom"
 
 

@@ -442,10 +442,36 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
                 cfg = MorphConfig(q, padding)
                 for shape in shapes:
                     assert_matches_per_offset(se, GridImage(unit_values(rng, shape, q)), cfg)
-                for tall in (far, runs):
+                for tall in (far, runs, square3_and_far_row()):
                     assert_matches_per_offset(tall, GridImage(unit_values(rng, (130, 9), q)), cfg)
     finally:
         sys.setswitchinterval(interval)
+
+
+def square3_and_far_row():
+    # shared rows 2 apart inside a reach of 40
+    return StructuringElement({**preset("square3").entries, (40, 0): 1.0})
+
+
+def test_shared_runs_fold_only_the_rows_their_readers_read():
+    # buffers are addressed from row 0 of the tile's canvas, but a build folds
+    # only the window of rows its readers read: the tile's 64 rows plus the
+    # 2-row spread of the shared rows, never the 40-row reach as well
+    img = GridImage(unit_values(np.random.default_rng(79), (128, 128), GOEDEL))
+    cfg = MorphConfig(GOEDEL)
+    se = square3_and_far_row()
+    for sign, ufunc, act, empty in [(-1, np.maximum, GOEDEL._mul, 0.0),
+                                    (1, np.minimum, GOEDEL._residuum, 1.0)]:
+        written = set()
+
+        def fold(a, b, out):
+            written.add(out.shape[0])
+            return ufunc(a, b, out=out)
+
+        out = morphology._level_fold(se, img, cfg, sign, fold, act, empty)
+        oracle = dilate_per_offset if sign == -1 else erode_per_offset
+        assert out.pixels.tobytes() == oracle(se, img, cfg).tobytes()
+        assert max(written) == 64 + 2  # the tile, and a build over the tile plus the spread
 
 
 @pytest.mark.parametrize("name, most", [

@@ -79,6 +79,21 @@ def test_malformed_files_report_offsets(tmp_path, payload, fragment):
     assert main(["dilate", "--se", "cross3", str(path), str(tmp_path / "out.pgm")]) == 2
 
 
+def test_p2_samples_read_as_int_reads_them(tmp_path):
+    # the signed and zero-padded forms the README names; a sample past int64
+    # is still reported as out of range, at the byte after it
+    path = tmp_path / "forms.pgm"
+    path.write_bytes(b"P2\n3 1\n255\n+7 007 255\n")
+    assert np.array_equal(read_pgm(path).pixels, [[7 / 255, 7 / 255, 1.0]])
+    huge = b"9" * 23
+    data = b"P2\n3 1\n255\n+7 007 " + huge + b"\n"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        read_pgm(path)
+    assert f"sample 2 value {huge.decode()} outside 0..255" in str(err.value)
+    assert err.value.offset == data.index(huge) + len(huge)
+
+
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pgm(tmp_path / "nope.pgm")
