@@ -43,22 +43,14 @@ def cmd_gen_codebook(args) -> None:
 
 def cmd_codec(args) -> None:
     cb = compression.read_codebook(args.codebook)
-    # built per call, so a rebound module function (a tracing wrapper) is the one called
-    op = {"compress": compression.compress, "reconstruct": compression.reconstruct}[args.command]
     img = pgm.read_pgm(args.input)
-    pgm.write_pgm(args.output, op(cb, img))
+    pgm.write_pgm(args.output, getattr(compression, args.command)(cb, img))
 
 
 def cmd_morphology(args) -> None:
     se = _load_se(args.se)
     cfg = morphology.MorphConfig(q=quantale(args.quantale), padding=args.pad)
-    # built per call, as in cmd_codec
-    op = {
-        "dilate": morphology.dilate,
-        "erode": morphology.erode,
-        "open": morphology.opening,
-        "close": morphology.closing,
-    }[args.command]
+    op = getattr(morphology, {"open": "opening", "close": "closing"}.get(args.command, args.command))
     img = pgm.read_pgm(args.input)
     pgm.write_pgm(args.output, op(se, img, cfg))
 

@@ -2,6 +2,8 @@
 
 import functools
 
+__all__ = ["DomainError", "ShapeError", "ParseError"]
+
 
 class DomainError(ValueError):
     """A value lies outside the carrier of the quantale in force."""

@@ -36,7 +36,8 @@ class IndexSet:
 
     def __post_init__(self):
         for n in (self.size, *(self.shape or ())):
-            if not isinstance(n, (int, np.integer)):  # numbers.Integral costs 7x as much
+            # numbers.Integral costs 7x as much; a bool is an int, but no size
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
                 raise ShapeError(f"index set sizes must be integers, got {n!r}")
         if self.size < 1:
             raise ValueError("index set must be non-empty")

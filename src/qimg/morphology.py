@@ -28,7 +28,6 @@ from .transform import Kernel, _read_lines
 __all__ = [
     "StructuringElement",
     "MorphConfig",
-    "PADDINGS",
     "reflect",
     "dilate",
     "erode",
@@ -36,7 +35,6 @@ __all__ = [
     "closing",
     "toeplitz_kernel",
     "preset",
-    "PRESETS",
     "read_sel",
     "write_sel",
 ]

@@ -241,14 +241,17 @@ def test_unknown_flags_exit_2(capsys):
 
 def test_readme_synopsis_matches_the_parser(capsys):
     # each `qimg a|b|...` entry of the README's CLI block is one subparser: the commands that
-    # share it, its prog and its flags
+    # share it, its prog and its flags, the optional ones in brackets and the required ones bare
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
     block = block.split("```text\n", 1)[1].split("```", 1)[0]
     documented = {}
     for line in block.replace("\\\n", " ").splitlines():
         words = line.split()
         assert words[0] == "qimg", line
-        documented[words[1]] = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
+        documented[words[1]] = (
+            {w.strip("[]") for w in words if w.startswith("[--")},
+            {w for w in words if w.startswith("--")},
+        )
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     names = {}
     for name, p in sub.choices.items():
@@ -257,8 +260,10 @@ def test_readme_synopsis_matches_the_parser(capsys):
     for p, shared in names.items():
         synopsis = "|".join(shared)
         assert p.prog == f"qimg {synopsis}"
-        parsed[synopsis] = {
-            s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        flags = [(s, a.required) for a in p._actions for s in a.option_strings
+                 if s.startswith("--") and s != "--help"]
+        parsed[synopsis] = ({s for s, required in flags if not required},
+                            {s for s, required in flags if required})
     assert documented == parsed
     for command, usage in (("erode", "usage: qimg dilate|erode|open|close"),
                            ("reconstruct", "usage: qimg compress|reconstruct")):

@@ -45,6 +45,11 @@ def test_index_set_validation():
     with pytest.raises(ShapeError, match="2.0"):
         IndexSet(4, (2.0, 2.0))
     assert IndexSet(np.int64(4), (np.int32(2), 2)).shape == (2, 2)
+    # a bool is an int to Python, but not a size
+    with pytest.raises(ShapeError, match="True"):
+        IndexSet(True)
+    with pytest.raises(ShapeError, match="True"):
+        IndexSet(1, (True, True))
 
 
 def test_element_values_validated():

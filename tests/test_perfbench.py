@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import numpy as np
+
 import qimg
 import qimg.cli  # noqa: F401  (the cli workload calls qimg.cli.main)
 
@@ -17,6 +19,33 @@ def test_tracer_finds_every_traced_function(monkeypatch):
         assert tracer.install(qimg) == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_cli_commands_reach_the_rebound_operations(monkeypatch, tmp_path):
+    # the CLI looks each command's operation up on its module when it runs, so
+    # the tracer's wrappers are the ones called
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    cb, img, small, out = (str(tmp_path / name) for name in ("cb.qk", "img.pgm", "small.pgm",
+                                                             "out.pgm"))
+    qimg.write_pgm(img, qimg.GridImage(np.linspace(0, 1, 256).reshape(16, 16)))
+    tracer = Tracer()
+    try:
+        assert tracer.install(qimg) == []
+        tracer.active = True
+        argvs = [["gen-codebook", "--builder", "block", "--size", "16x16", "--codes", "4x4",
+                  "--out", cb],
+                 ["compress", "--codebook", cb, img, small],
+                 ["reconstruct", "--codebook", cb, small, out]]
+        argvs += [[command, "--se", "cross3", img, out]
+                  for command in ("dilate", "erode", "open", "close")]
+        assert [qimg.cli.main(argv) for argv in argvs] == [0] * len(argvs)
+    finally:
+        tracer.uninstall()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"compression.compress", "compression.reconstruct", "morphology.dilate",
+            "morphology.erode", "morphology.opening", "morphology.closing"} <= names
 
 
 def test_one_codec_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import inspect
 import pkgutil
 import typing
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -163,3 +164,18 @@ def test_every_annotation_resolves():
                 continue
             resolved.append(f"{info.name}.{name}")
     assert "morphology.MorphConfig" in resolved
+
+
+def test_the_package_reexports_each_public_name_once():
+    # qimg binds exactly what its modules list in __all__, and each name has one home
+    homes = {}
+    for info in pkgutil.iter_modules(qimg.__path__):
+        if info.name == "cli":  # the command line is run, not imported
+            continue
+        for name in getattr(importlib.import_module(f"qimg.{info.name}"), "__all__", ()):
+            homes.setdefault(name, []).append(info.name)
+    public = {name for name, value in vars(qimg).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(public ^ set(homes)) == []
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {}
+    assert len({home for found in homes.values() for home in found}) == 8
