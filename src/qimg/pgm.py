@@ -27,6 +27,34 @@ _COMMENT = re.compile(rb"#[^\n]*")
 _TOKEN_OR_COMMENT = re.compile(rb"#[^\n]*|[^\s#]+")
 
 
+# the bytes of a plain P2 body: digits and the whitespace bytes.split splits on
+_P2_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
+
+def _scan_samples(body: bytes, count: int):
+    """The first count samples of a comment-free P2 body, or None; never raises.
+
+    None unless every byte is a digit or whitespace, there are count tokens
+    and each of the first count has 1-3 digits and a value up to MAXVAL.
+    """
+    if body.translate(None, _P2_BYTES):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    bound = np.flatnonzero(np.diff(raw > 32, prepend=False, append=False))  # whitespace is below '0'
+    if bound.size < 2 * count:
+        return None
+    ends = bound[1 : 2 * count : 2]
+    length = ends - bound[0 : 2 * count : 2]
+    if length.max() > 3:
+        return None
+
+    def digit(back):  # the digit back places before each token's end; 0 past its start
+        return (raw.take(ends - 1 - back, mode="clip").astype(np.int64) - 48) * (length > back)
+
+    samples = digit(0) + 10 * digit(1) + 100 * digit(2)
+    return None if samples.max() > MAXVAL else samples
+
+
 def _bad_sample(data: bytes, pos: int, count: int, found: int) -> ParseError:
     """Locate the first P2 sample the bulk conversion rejected, or the shortfall; error path only."""
     tokens = (m for m in _TOKEN_OR_COMMENT.finditer(data, pos) if m[0][:1] != b"#")
@@ -73,14 +101,16 @@ def read_pgm(path) -> GridImage:
             raise ParseError(f"short payload: {len(payload)} of {count} bytes", offset=len(data))
         samples = np.frombuffer(payload, dtype=np.uint8)
     else:
-        tokens = _COMMENT.sub(b"", data[pos:]).split()
-        samples = None
-        # count the samples against the header before allocating their array
-        if len(tokens) >= count:
-            with contextlib.suppress(ValueError, OverflowError):
-                samples = np.array(tokens[:count], dtype=np.int64)
-        if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
-            raise _bad_sample(data, pos, count, len(tokens))
+        body = _COMMENT.sub(b"", data[pos:])
+        samples = _scan_samples(body, count)
+        if samples is None:  # the token path, which reads every form int() takes and names errors
+            tokens = body.split()
+            # count the samples against the header before allocating their array
+            if len(tokens) >= count:
+                with contextlib.suppress(ValueError, OverflowError):
+                    samples = np.array(tokens[:count], dtype=np.int64)
+            if samples is None or samples.min() < 0 or samples.max() > MAXVAL:
+                raise _bad_sample(data, pos, count, len(tokens))
     # every sample is in 0..MAXVAL, so every pixel is 0 or a normal float in [1/255, 1]
     return _unchecked(GridImage, samples.reshape(height, width) / MAXVAL)
 

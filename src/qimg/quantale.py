@@ -37,10 +37,15 @@ UNIT = 1.0  # the monoid unit e; also the top of the lattice
 TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def require_unit(arr: np.ndarray, what: str) -> None:
-    """Raise DomainError unless every entry lies in [0,1]; min/max propagate NaN, so it fails."""
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+def require_unit(arr: np.ndarray, what: str) -> float:
+    """Raise DomainError unless every entry lies in [0,1]; min/max propagate NaN, so it fails.
+
+    Returns the smallest entry, or UNIT for an empty array.
+    """
+    low = arr.min(initial=UNIT)
+    if not (low >= BOTTOM and arr.max(initial=BOTTOM) <= UNIT):
         raise DomainError(f"{what} must lie in [0,1]")
+    return low
 
 
 def unit_carrier(arr: np.ndarray, what: str) -> np.ndarray:
@@ -49,8 +54,8 @@ def unit_carrier(arr: np.ndarray, what: str) -> np.ndarray:
     The float product underflows on a subnormal operand (0.5 * 5e-324 is
     0), which would break the adjunction between mul and residuum.
     """
-    require_unit(arr, what)
-    np.putmask(arr, arr < TINY, BOTTOM)
+    if require_unit(arr, what) < TINY:  # only then can an entry need the flush
+        np.putmask(arr, arr < TINY, BOTTOM)
     return arr
 
 

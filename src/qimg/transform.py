@@ -65,9 +65,11 @@ def _check_entries(x: np.ndarray, y: np.ndarray, w: np.ndarray, nx: int, ny: int
             raise ShapeError(f"kernel entry {name} indices must be integers, not {idx.dtype}")
         if idx.size and not (idx.min() >= 0 and idx.max() < size):
             raise ShapeError(f"kernel entry {name} indices must lie in 0..{size - 1}")
-    pairs = np.sort(x * ny + y)
-    if np.any(pairs[1:] == pairs[:-1]):
-        raise ShapeError("kernel entries repeat an (x, y) pair")
+    pairs = x * ny + y
+    if np.any(pairs[1:] <= pairs[:-1]):  # ascending pairs are distinct; sort only the rest
+        pairs = np.sort(pairs)
+        if np.any(pairs[1:] == pairs[:-1]):
+            raise ShapeError("kernel entries repeat an (x, y) pair")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -353,6 +355,80 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
+# The body scan reads a mostly-zero body in blocks of about _SCAN_BLOCK bytes
+# of rows, small enough for each pass over a block to stay in cache.
+_SCAN_BLOCK = 1 << 16
+# every byte but '0' that a separator or a loadtxt float may hold: digits,
+# signs, exponents and the letters of nan, inf and infinity
+_NUMBER_BYTES = b" \t\n.123456789+-eEnaiftyNAIFTY"
+
+
+def _scan_block(rows: list[str], ny: int):
+    """Where a block's tokens that are not a literal +0 sit, and their texts; or None.
+
+    None unless every byte is a separator or may be part of a number, every
+    row holds ny tokens and at most one token in 8 needs converting.  A
+    token of only '0' and '.', with one '.' at most and one '0' at least,
+    reads as +0.0 and is skipped.  Token k is entry k of the block, row-major.
+    """
+    text = "\n".join(["", *rows, ""])  # a newline before and after every row
+    data = text.encode("ascii")
+    zeroless = data.translate(None, b"0")
+    if zeroless.translate(None, _NUMBER_BYTES):
+        return None
+    # with the zeros gone, two dots of one token with no other byte between meet
+    dots = np.frombuffer(zeroless, dtype=np.uint8) == 46
+    if np.any(dots[1:] & dots[:-1]):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    word = raw > 32  # the separators are the bytes up to ' '
+    bound = np.flatnonzero(word[1:] != word[:-1]) + 1  # text opens and closes with a separator
+    starts, ends = bound[0::2], bound[1::2]
+    if starts.size != len(rows) * ny:
+        return None
+    newlines = np.cumsum([len(row) + 1 for row in rows])  # the one after each row
+    if np.any(np.searchsorted(starts, newlines[:-1]) != ny * np.arange(1, len(rows))):
+        return None
+    if np.any(raw[starts[ends - starts == 1]] == 46):  # a lone '.'
+        return None
+    # a byte above '0', or a sign: every other byte of a token is '0' or '.'
+    numeric = np.flatnonzero((raw > 48) | (word & (raw < 46)))
+    firsts = numeric[np.diff(numeric, prepend=-2) > 1]  # the first byte of each run of them
+    convert = np.unique(np.searchsorted(starts, firsts, side="right") - 1)
+    if convert.size * 8 > starts.size:
+        return None
+    return convert, [text[s:e] for s, e in zip(starts[convert].tolist(), ends[convert].tolist())]
+
+
+def _scan_body(rows: list[str], ny: int):
+    """The row-major positions and weights of a mostly-zero body's tokens other than +0, or None.
+
+    The tokens the block scans keep are converted by the same loadtxt call
+    as the dense path, so each weight is bit for bit the same; None sends
+    the body down that path, which then reports any error.
+    """
+    positions, tokens = [], []
+    start = 0
+    while start < len(rows):
+        stop, size = start, 0
+        while stop < len(rows) and size < _SCAN_BLOCK:
+            size += len(rows[stop]) + 1
+            stop += 1
+        found = _scan_block(rows[start:stop], ny)
+        if found is None:
+            return None
+        positions.append(found[0] + start * ny)
+        tokens.extend(found[1])
+        start = stop
+    w = np.zeros(0)
+    if tokens:  # loadtxt warns on an empty input
+        try:
+            w = np.loadtxt(tokens, ndmin=1, comments=None)
+        except ValueError:
+            return None
+    return np.concatenate(positions), w  # Kernel drops the weights below TINY, -0 among them
+
+
 def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
 
@@ -372,6 +448,10 @@ def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     rows = lines[1:]
     if len(rows) != nx:
         raise ParseError(f"expected {nx} data rows, found {len(rows)}")
+    scanned = _scan_body(rows, ny)
+    if scanned is not None:
+        x, y = np.divmod(scanned[0], ny)
+        return Kernel(q, domain, codomain, entries=(x, y, scanned[1]))
     # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
     try:
         values = np.loadtxt(rows, ndmin=2, comments=None)

@@ -1,9 +1,12 @@
 """PGM codec: byte mapping, round trips and malformed-input diagnostics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from qimg import GridImage, ParseError, read_pgm, write_pgm
+from qimg import GridImage, ParseError, pgm, read_pgm, write_pgm
 from qimg.cli import main
 
 
@@ -97,3 +100,57 @@ def test_p2_samples_read_as_int_reads_them(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pgm(tmp_path / "nope.pgm")
+
+
+def _pgm_outcome(read, path):
+    """The pixels, bit for bit, or the error's text and offset."""
+    try:
+        img = read(path)
+    except ParseError as exc:
+        return str(exc), exc.offset
+    return img.shape, img.pixels.tobytes()
+
+
+def _read_tokens(path):
+    # the reference: with the digit scan turned down, every sample goes through int()
+    with mock.patch.object(pgm, "_scan_samples", lambda body, count: None):
+        return read_pgm(path)
+
+
+_GOOD_SAMPLES = ["0", "007", "7", "42", "255", "#c\n"]
+_BAD_SAMPLES = ["0007", "1000", "+7", "256", "999", "-1", "x"]
+
+
+@st.composite
+def _p2_texts(draw):
+    tokens = draw(st.lists(st.sampled_from(_GOOD_SAMPLES), max_size=20))
+    samples = sum(t[0] != "#" for t in tokens)
+    # at most one flaw: a bad sample, or one sample too few
+    flaw = draw(st.sampled_from([None, "sample", "short"]))
+    if flaw == "sample" and samples:
+        i = draw(st.sampled_from([i for i, t in enumerate(tokens) if t[0] != "#"]))
+        tokens[i] = draw(st.sampled_from(_BAD_SAMPLES))
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", "  "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    width = max(1, samples + (flaw == "short"))
+    body = "".join(s + t for s, t in zip(seps, tokens))
+    return f"P2\n{width} 1\n255{body}\n".encode("ascii")
+
+
+@given(data=_p2_texts())
+@example(data=b"P2\n2 1\n255 7 -1\n")  # a sign
+@example(data=b"P2\n1 1\n255 1000\n")  # four digits
+@example(data=b"P2\n2 1\n255 7\n")  # one sample too few
+def test_p2_digit_scan_matches_the_token_path(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("p2") / "g.pgm"
+    path.write_bytes(data)
+    assert _pgm_outcome(read_pgm, path) == _pgm_outcome(_read_tokens, path)
+
+
+def test_p2_digit_scan_reads_plain_bodies(tmp_path):
+    path = tmp_path / "g.pgm"
+    pixels = np.arange(256, dtype=float).reshape(16, 16) / 255
+    write_pgm(path, GridImage(pixels), binary=False)
+    body = path.read_bytes().split(b"255", 1)[1]
+    assert np.array_equal(pgm._scan_samples(body, 256), np.arange(256))
+    assert np.array_equal(read_pgm(path).pixels, pixels)

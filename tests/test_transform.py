@@ -1,11 +1,13 @@
 """Transforms, their adjoint pairs, kernel classification and extraction."""
 
 import ast
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qimg
@@ -19,6 +21,7 @@ from qimg import (
     Kernel,
     KernelLevel,
     ModuleElement,
+    ParseError,
     ShapeError,
     bottom,
     classify,
@@ -35,6 +38,7 @@ from qimg import (
     scalar_residuum,
     write_kernel,
 )
+from qimg import transform
 from qimg.quantale import TINY
 from support import (
     ALL_FAMILIES,
@@ -127,8 +131,10 @@ def test_boolean_kernel_entries_must_be_binary():
     ([0], [1], [0.5], "y indices"),
     ([0.0], [0], [0.5], "integers"),
     ([1, 0, 1], [0, 0, 0], [1.0, 0.5, 1.0], "repeat an"),
+    ([0, 1, 1], [0, 0, 0], [1.0, 0.5, 1.0], "repeat an"),
     ([0, 1], [0], [0.5, 0.5], "entries hold"),
-], ids=["x-past-end", "x-negative", "y-past-end", "x-float", "repeated-pair", "unequal-lengths"])
+], ids=["x-past-end", "x-negative", "y-past-end", "x-float", "repeated-pair",
+        "repeated-adjacent-pair", "unequal-lengths"])
 def test_kernel_entries_are_checked(x, y, w, problem):
     with pytest.raises(ShapeError, match=problem):
         Kernel(GOEDEL, X2, Y1, entries=(np.array(x), np.array(y), np.array(w)))
@@ -520,6 +526,120 @@ def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
         read_kernel(path)
     assert fragment in str(err.value)
     assert str(err.value).count(str(path)) == 1
+
+
+# the dense-path reference: with the body scan turned down, _parse_kernel
+# converts every token with one loadtxt and builds the kernel from the matrix
+def _read_dense(path):
+    with mock.patch.object(transform, "_scan_body", lambda rows, ny: None):
+        return read_kernel(path)
+
+
+def _kernel_outcome(read, path):
+    """The kernel's family, sizes and stored arrays, bit for bit; or the error's text and offset."""
+    try:
+        p, _ = read(path)
+    except ParseError as exc:
+        return str(exc), exc.offset
+    arrays = (p.row_idx, p.row_w, p.col_idx, p.col_w)
+    return p.q.family, p.domain, p.codomain, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+_ZERO_SPELLINGS = ["0", "0.0", ".0", "0.", "00"]
+_NONZERO_TOKENS = ["-0", "1.0", "0.25", "1e-320"]
+_BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#"]
+
+
+@st.composite
+def _kernel_texts(draw):
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    # mostly zero spellings, so that about half the bodies pass the scan's
+    # one-token-in-8 rule and the rest fall back
+    token = st.sampled_from(_ZERO_SPELLINGS * 8 + _NONZERO_TOKENS)
+    rows = [draw(st.lists(token, min_size=ny, max_size=ny)) for _ in range(nx)]
+    # at most one flaw, so that each one meets the scan on its own
+    flaw, r = draw(st.sampled_from([None, "token", "move", "drop"])), draw(st.integers(0, nx - 1))
+    if flaw == "token":
+        rows[r][draw(st.integers(0, ny - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif flaw == "move":  # two rows of the wrong length, and the right token count
+        rows[(r + 1) % nx].append(rows[r].pop())
+    elif flaw == "drop":
+        rows[r].pop()
+    lines = []
+    for row in rows:
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "  "]), min_size=len(row), max_size=len(row)))
+        lines.append("".join(s + t for s, t in zip(seps, row)))
+    family = draw(st.sampled_from(["goedel", "boolean"]))
+    return f"QKERNEL 1\n{family} {nx} {ny}\n" + "\n".join(lines) + "\n"
+
+
+@given(text=_kernel_texts())
+@example(text="QKERNEL 1\ngoedel 1 3\n0 . 0\n")  # a lone '.'
+@example(text="QKERNEL 1\ngoedel 2 2\n0 0 0\n0\n")  # rows of the wrong length, the right count
+@example(text="QKERNEL 1\ngoedel 1 2\n0\x010\n")  # a control byte that is no separator
+def test_body_scan_matches_the_dense_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("scan") / "k.qk"
+    path.write_text(text, encoding="ascii")
+    assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+def _scanned(path) -> bool:
+    """Whether the body scan, not the dense fallback, reads the file's body."""
+    _, lines, _ = transform._read_lines(path, transform.KERNEL_MAGIC)
+    return transform._scan_body(lines[1:], int(lines[0].split()[2])) is not None
+
+
+@pytest.mark.parametrize("bad, fragment", [
+    ("0.0.0", "row 63 holds a non-numeric token"),
+    ("", "row 63 has 1099 values, expected 1100"),
+], ids=["token", "row-length"])
+def test_a_fault_in_the_last_scan_block_is_reported(tmp_path, bad, fragment):
+    # 64 rows of 1100 zeros span several scan blocks; only the last row is bad
+    rows = ["0.0 " * 1099 + "0.0"] * 63 + ["0.0 " * 1099 + bad]
+    path = tmp_path / "k.qk"
+    path.write_text("QKERNEL 1\ngoedel 64 1100\n" + "\n".join(rows) + "\n", encoding="ascii")
+    assert len(rows[0]) * 64 > 4 * transform._SCAN_BLOCK
+    with pytest.raises(ParseError, match=fragment):
+        read_kernel(path)
+    assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+def test_a_body_of_nonzero_tokens_takes_the_dense_path(tmp_path):
+    rng = np.random.default_rng(8)
+    p = Kernel(PRODUCT, IndexSet(40), IndexSet(30), rng.uniform(0.01, 1.0, (40, 30)))
+    path = tmp_path / "k.qk"
+    write_kernel(path, p)
+    assert not _scanned(path)
+    back, _ = read_kernel(path)
+    for name in ("row_idx", "row_w", "col_idx", "col_w"):
+        assert np.array_equal(getattr(back, name), getattr(p, name))
+
+
+def test_a_sparse_body_is_scanned_bit_for_bit(tmp_path):
+    # 2 % random weights, written with repr, and the 1100-row chain
+    rng = np.random.default_rng(9)
+    values = rng.uniform(0.0, 1.0, (300, 400)) * (rng.random((300, 400)) < 0.02)
+    for name, p in (("sparse", Kernel(LUKASIEWICZ, IndexSet(300), IndexSet(400), values)),
+                    ("chain", chain_kernel(GOEDEL, 1100))):
+        path = tmp_path / f"{name}.qk"
+        write_kernel(path, p)
+        assert _scanned(path)
+        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
+    n = 1100
+    path = tmp_path / "chain.qk"
+    write_kernel(path, chain_kernel(GOEDEL, n))
+    _, lines, _ = transform._read_lines(path, transform.KERNEL_MAGIC)
+    tracemalloc.start()
+    try:
+        p = transform._parse_kernel(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classify(p).level is KernelLevel.NORMAL
+    assert peak < n * n * 8, f"parsing peaked at {peak} bytes"
 
 
 # --- layout boundary ------------------------------------------------------------
