@@ -26,12 +26,6 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _load_se(name_or_path: str) -> morphology.StructuringElement:
-    if name_or_path in morphology.PRESETS:
-        return morphology.preset(name_or_path)
-    return morphology.read_sel(name_or_path)
-
-
 def cmd_gen_codebook(args) -> None:
     m, n = _parse_pair(args.size, "--size")
     a, b = _parse_pair(args.codes, "--codes")
@@ -48,7 +42,7 @@ def cmd_codec(args) -> None:
 
 
 def cmd_morphology(args) -> None:
-    se = _load_se(args.se)
+    se = morphology.PRESETS.get(args.se) or morphology.read_sel(args.se)
     cfg = morphology.MorphConfig(q=quantale(args.quantale), padding=args.pad)
     op = getattr(morphology, {"open": "opening", "close": "closing"}.get(args.command, args.command))
     img = pgm.read_pgm(args.input)

@@ -72,9 +72,7 @@ class ModuleElement:
         arr = np.array(self.values, dtype=float).reshape(-1)
         if arr.shape[0] != self.index.size:
             raise ShapeError(f"expected {self.index.size} values, got {arr.shape[0]}")
-        unit_carrier(arr, "module element values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _fill(self, self.index, unit_carrier(arr, "module element values"))
 
     def __le__(self, other: "ModuleElement") -> bool:
         _require_same_index(self, other)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .free_module import IndexSet, ModuleElement, _unchecked
+from .free_module import IndexSet, ModuleElement, _fill, _unchecked
 from .quantale import unit_carrier
 
 __all__ = ["GridImage"]
@@ -27,9 +27,7 @@ class GridImage:
         arr = np.array(self.pixels, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError("an image needs a non-empty 2-D pixel array")
-        unit_carrier(arr, "pixel values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        _fill(self, unit_carrier(arr, "pixel values"))
 
     @property
     def rows(self) -> int:

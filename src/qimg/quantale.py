@@ -94,18 +94,14 @@ class Quantale:
     def join(self, values: Iterable[float]) -> float:
         """Finite join; empty join is the bottom 0."""
         arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            return BOTTOM
         self.check(arr)
-        return float(arr.max())
+        return float(arr.max(initial=BOTTOM))
 
     def meet(self, values: Iterable[float]) -> float:
         """Finite meet; empty meet is the top 1."""
         arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            return UNIT
         self.check(arr)
-        return float(arr.min())
+        return float(arr.min(initial=UNIT))
 
     def _mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError

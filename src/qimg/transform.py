@@ -355,8 +355,9 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
-# The body scan reads a mostly-zero body in blocks of about _SCAN_BLOCK bytes
-# of rows, small enough for each pass over a block to stay in cache.
+# The body scan reads a mostly-zero body in blocks of a fixed number of rows,
+# about _SCAN_BLOCK bytes as sized from the first row, small enough for each
+# pass over a block to stay in cache.
 _SCAN_BLOCK = 1 << 16
 # every byte but '0' that a separator or a loadtxt float may hold: digits,
 # signs, exponents and the letters of nan, inf and infinity
@@ -384,10 +385,8 @@ def _scan_block(rows: list[str], ny: int):
     word = raw > 32  # the separators are the bytes up to ' '
     bound = np.flatnonzero(word[1:] != word[:-1]) + 1  # text opens and closes with a separator
     starts, ends = bound[0::2], bound[1::2]
-    if starts.size != len(rows) * ny:
-        return None
     newlines = np.cumsum([len(row) + 1 for row in rows])  # the one after each row
-    if np.any(np.searchsorted(starts, newlines[:-1]) != ny * np.arange(1, len(rows))):
+    if np.any(np.searchsorted(starts, newlines) != ny * np.arange(1, len(rows) + 1)):
         return None
     if np.any(raw[starts[ends - starts == 1]] == 46):  # a lone '.'
         return None
@@ -408,18 +407,13 @@ def _scan_body(rows: list[str], ny: int):
     the body down that path, which then reports any error.
     """
     positions, tokens = [], []
-    start = 0
-    while start < len(rows):
-        stop, size = start, 0
-        while stop < len(rows) and size < _SCAN_BLOCK:
-            size += len(rows[stop]) + 1
-            stop += 1
-        found = _scan_block(rows[start:stop], ny)
+    step = max(1, _SCAN_BLOCK // (len(rows[0]) + 1))  # rows all hold ny tokens, so one sizes all
+    for start in range(0, len(rows), step):
+        found = _scan_block(rows[start:start + step], ny)
         if found is None:
             return None
         positions.append(found[0] + start * ny)
         tokens.extend(found[1])
-        start = stop
     w = np.zeros(0)
     if tokens:  # loadtxt warns on an empty input
         try:

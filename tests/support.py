@@ -29,7 +29,7 @@ TOL = 1e-12
 # 1 and 1 - ulp meet inside one level; TINY is the smallest value kept
 ADVERSARIAL = (0.0, TINY, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
 
-LEVEL_RANK = {"general": 0, "coder": 1, "normal": 2, "strong": 3, "orthonormal": 4}
+LEVEL_RANK = {"general": 0, "normal": 1, "strong": 2, "orthonormal": 3}
 
 
 def leq(a, b, tol=TOL) -> bool:
@@ -98,18 +98,16 @@ def classify_bruteforce(p: Kernel):
                     orthogonal = False
     best = "general"
     for eps in itertools.permutations(range(nx), ny):
-        if not all(vals[eps[y], y] >= 1.0 for y in range(ny)):
+        if not all(vals[eps[y], y] == 1.0 for y in range(ny)):
             continue
-        level = "coder"
-        if all(vals[eps[y], y] == 1.0 for y in range(ny)):
-            level = "normal"
-            if all(
-                vals[eps[y1], y2] == 0.0
-                for y1 in range(ny)
-                for y2 in range(ny)
-                if y1 != y2
-            ):
-                level = "strong"
+        level = "normal"
+        if all(
+            vals[eps[y1], y2] == 0.0
+            for y1 in range(ny)
+            for y2 in range(ny)
+            if y1 != y2
+        ):
+            level = "strong"
         if LEVEL_RANK[level] > LEVEL_RANK[best]:
             best = level
         if best == "strong":
@@ -124,8 +122,6 @@ def witness_satisfies(p: Kernel, eps, level: str) -> bool:
     vals = p.values
     ny = vals.shape[1]
     if len(set(eps)) != ny:
-        return False
-    if level in ("coder",) and not all(vals[eps[y], y] >= 1.0 for y in range(ny)):
         return False
     if level in ("normal", "strong", "orthonormal"):
         if not all(vals[eps[y], y] == 1.0 for y in range(ny)):

@@ -8,13 +8,16 @@ from hypothesis.extra.numpy import arrays
 from qimg import (
     GOEDEL,
     LUKASIEWICZ,
+    Codebook,
     DomainError,
+    GridImage,
     IndexSet,
     ModuleElement,
     ShapeError,
     bottom,
     constant,
     delta,
+    identity_kernel,
     join_elems,
     scalar_mul,
     scalar_residuum,
@@ -57,6 +60,19 @@ def test_element_values_validated():
         ModuleElement(IDX, [0.1] * (N - 1) + [1.2])
     with pytest.raises(ShapeError):
         ModuleElement(IDX, [0.1] * (N + 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Codebook(identity_kernel(GOEDEL, IndexSet(4))), "codebook kernels need 2-D shapes"),
+    (lambda: GridImage(np.zeros(4)), "non-empty 2-D pixel array"),
+    (lambda: GridImage(np.zeros((0, 3))), "non-empty 2-D pixel array"),
+    (lambda: GridImage.from_element(bottom(IndexSet(4))), "carries no 2-D shape"),
+    (lambda: GridImage(np.zeros((2, 2))) <= GridImage(np.zeros((1, 4))),
+     r"images shaped \(2, 2\) and \(1, 4\)"),
+], ids=["codebook-unshaped", "image-1d", "image-empty", "unshaped-element", "compare-shapes"])
+def test_shaped_views_reject_unshaped_or_mismatched_input(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()
 
 
 def test_element_values_frozen():

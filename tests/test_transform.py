@@ -547,7 +547,8 @@ def _kernel_outcome(read, path):
 
 _ZERO_SPELLINGS = ["0", "0.0", ".0", "0.", "00"]
 _NONZERO_TOKENS = ["-0", "1.0", "0.25", "1e-320"]
-_BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#"]
+# the last four pass the byte scan, and loadtxt rejects them
+_BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#", "1.2.3", "e5", "+-1", "1e"]
 
 
 @st.composite
@@ -577,6 +578,9 @@ def _kernel_texts(draw):
 @example(text="QKERNEL 1\ngoedel 1 3\n0 . 0\n")  # a lone '.'
 @example(text="QKERNEL 1\ngoedel 2 2\n0 0 0\n0\n")  # rows of the wrong length, the right count
 @example(text="QKERNEL 1\ngoedel 1 2\n0\x010\n")  # a control byte that is no separator
+# a separator the scan refuses and the dense path reads as whitespace
+@example(text="QKERNEL 1\ngoedel 1 2\n0.5\x1f0.5\n")
+@example(text="QKERNEL 1\ngoedel 1 8\n0 0 0 0 0 0 0 1.2.3\n")  # loadtxt rejects a scanned token
 def test_body_scan_matches_the_dense_path(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("scan") / "k.qk"
     path.write_text(text, encoding="ascii")
