@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import DomainError, ParseError, ShapeError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, quantale
-from .transform import (KERNEL_MAGIC, Kernel, _parse_kernel, _read_lines, forward, inverse,
+from .transform import (KERNEL_MAGIC, Kernel, _lines, _parse_kernel, _scan_file, forward, inverse,
                         write_kernel)
 
 __all__ = [
@@ -240,12 +241,8 @@ def _rebuild(lines: list[str]) -> Codebook:
     return _build(name, quantale(parts[0]), m, n, a, b)
 
 
-@_names_file
-def read_codebook(path) -> Codebook:
-    """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
-    magic, lines, comments = _read_lines(path, CODEBOOK_MAGIC, KERNEL_MAGIC)
-    if magic == CODEBOOK_MAGIC:
-        return _rebuild(lines)
+def _grids(comments: list[str]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The image and code grid shapes that a custom codebook's builder comment gives."""
     for c in comments:
         parts = c.split()
         if len(parts) == 6 and parts[0] == "builder":
@@ -253,11 +250,28 @@ def read_codebook(path) -> Codebook:
     else:
         raise ParseError("no '# builder <name> <m> <n> <a> <b>' comment line")
     _, m, n, a, b = _params(parts[1:], BUILDERS + ("custom",))
-    return Codebook(_parse_kernel(lines, ((m, n), (a, b))))
+    return (m, n), (a, b)
+
+
+@_names_file
+def read_codebook(path) -> Codebook:
+    """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
+    data = Path(path).read_bytes()
+    scanned = _scan_file(data, _grids)
+    if scanned is not None:
+        return Codebook(scanned[0])
+    magic, lines, comments = _lines(data, CODEBOOK_MAGIC, KERNEL_MAGIC)
+    if magic == CODEBOOK_MAGIC:
+        return _rebuild(lines)
+    return Codebook(_parse_kernel(lines, _grids(comments)))
 
 
 @_names_file
 def load_kernel(path) -> Kernel:
     """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
-    magic, lines, _ = _read_lines(path, CODEBOOK_MAGIC, KERNEL_MAGIC)
+    data = Path(path).read_bytes()
+    scanned = _scan_file(data)
+    if scanned is not None:
+        return scanned[0]
+    magic, lines, _ = _lines(data, CODEBOOK_MAGIC, KERNEL_MAGIC)
     return _rebuild(lines).kernel if magic == CODEBOOK_MAGIC else _parse_kernel(lines)

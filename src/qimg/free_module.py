@@ -7,6 +7,7 @@ scalar action (with its residuum) are pointwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -47,12 +48,17 @@ class IndexSet:
                 raise ShapeError(f"shape {self.shape} does not cover size {self.size}")
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _fill(obj, *values):
     """Set obj's fields, in order, to known-valid values; arrays go read-only."""
-    for field, value in zip(fields(obj), values):
+    for name, value in zip(_field_names(type(obj)), values):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, field.name, value)
+        object.__setattr__(obj, name, value)
     return obj
 
 

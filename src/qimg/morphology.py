@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,7 +24,7 @@ from .errors import ParseError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import Quantale, require_carrier, unit_carrier
-from .transform import Kernel, _read_lines
+from .transform import Kernel, _lines
 
 __all__ = [
     "StructuringElement",
@@ -347,7 +348,7 @@ def write_sel(path, se: StructuringElement) -> None:
 
 @_names_file
 def read_sel(path) -> StructuringElement:
-    _, lines, _ = _read_lines(path, SEL_MAGIC)
+    _, lines, _ = _lines(Path(path).read_bytes(), SEL_MAGIC)
     entries = {}
     for i, ln in enumerate(lines):
         parts = ln.split()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -330,10 +331,9 @@ def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path, *magics: str) -> tuple[str, list[str], list[str]]:
+def _lines(data: bytes, *magics: str) -> tuple[str, list[str], list[str]]:
     """The magic line, one of magics, then the data lines and comment texts, stripped; no blanks."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    raw = data.decode("ascii").splitlines()
     magic = raw[0].strip() if raw else ""
     if magic not in magics:
         raise ParseError(f"missing {' or '.join(repr(m) for m in magics)} header")
@@ -355,97 +355,207 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
-# The body scan reads a mostly-zero body in blocks of a fixed number of rows,
-# about _SCAN_BLOCK bytes as sized from the first row, small enough for each
-# pass over a block to stay in cache.
+# The byte scan reads a QKERNEL 1 file from its bytes, in blocks of whole rows
+# of about _SCAN_BLOCK bytes, small enough for each pass over a block to stay
+# in cache.
 _SCAN_BLOCK = 1 << 16
 # every byte but '0' that a separator or a loadtxt float may hold: digits,
 # signs, exponents and the letters of nan, inf and infinity
 _NUMBER_BYTES = b" \t\n.123456789+-eEnaiftyNAIFTY"
+# the bytes of a line before the first row: on these, splitting at newlines and
+# stripping the bytes read the line as _lines does
+_HEAD_BYTES = bytes(range(32, 127)) + b"\t"
+# how far from a token's first nonzero byte the scan looks for its separators,
+# and for how many tokens at a time
+_REACH = 32
+_EDGE_CHUNK = 1 << 10
 
 
-def _scan_block(rows: list[str], ny: int):
-    """Where a block's tokens that are not a literal +0 sit, and their texts; or None.
+def _plain_head(data: bytes):
+    """The size line, comment texts and first row's offset of a QKERNEL 1 file; None unless plain.
 
-    None unless every byte is a separator or may be part of a number, every
-    row holds ny tokens and at most one token in 8 needs converting.  A
-    token of only '0' and '.', with one '.' at most and one '0' at least,
-    reads as +0.0 and is skipped.  Token k is entry k of the block, row-major.
+    Plain: the bytes open with the magic line, and every line before the first
+    row holds only printable ASCII and tabs.
     """
-    text = "\n".join(["", *rows, ""])  # a newline before and after every row
-    data = text.encode("ascii")
-    zeroless = data.translate(None, b"0")
-    if zeroless.translate(None, _NUMBER_BYTES):
+    pos = len(KERNEL_MAGIC) + 1
+    if data[:pos] != KERNEL_MAGIC.encode() + b"\n":
+        return None
+    size, comments = None, []
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        line = data[pos:end if end >= 0 else len(data)]
+        text = line.strip()
+        if size is not None and text and not text.startswith(b"#"):
+            return size, comments, pos
+        if line.translate(None, _HEAD_BYTES):
+            return None
+        if text.startswith(b"#"):
+            comments.append(text[1:].strip().decode("ascii"))
+        elif text:
+            size = text.decode("ascii")
+        pos = len(data) if end < 0 else end + 1
+    return None
+
+
+def _token_edges(raw: np.ndarray, firsts: np.ndarray):
+    """Where the tokens whose first nonzero byte sits at firsts start and end; or None.
+
+    Only '0' and '.' precede a token's first nonzero byte, so the token starts
+    after the nearest separator before it and ends at the nearest one after,
+    or at the end of raw.  None if either lies more than _REACH bytes away.
+    The windows are read _EDGE_CHUNK tokens at a time, to bound their memory.
+    """
+    starts, ends = np.empty_like(firsts), np.empty_like(firsts)
+    for k in range(0, firsts.size, _EDGE_CHUNK):
+        f = firsts[k:k + _EDGE_CHUNK]
+        near = f[:, None] + np.arange(-_REACH, _REACH)
+        near = (raw.take(near, mode="clip") > 32) & (near < raw.size)
+        if near.reshape(-1, 2, _REACH).all(axis=2).any():
+            return None
+        # the first separator down from f - 1, and up from f
+        starts[k:k + _EDGE_CHUNK] = f - near[:, _REACH - 1::-1].argmin(axis=1)
+        ends[k:k + _EDGE_CHUNK] = f + near[:, _REACH:].argmin(axis=1)
+    return starts, ends
+
+
+def _scan_block(block: bytes):
+    """Where a block's rows and runs of nonzero bytes start, and how many tokens follow each; or None.
+
+    The block opens with the newline before its first row and ends with the
+    one after its last.  The cuts, ascending, are every newline but the last
+    and the first byte of every run of bytes other than '0', '.' and the
+    separators; counts[k] tokens open after cut k and up to the next.  None
+    unless every byte is a separator or may be part of a number, no token
+    is '.' or holds two dots and '0's alone, and at most one run sits among
+    8 tokens, so a body that is not mostly zeros fails before any array of
+    its tokens is built.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    word = raw > 32  # the separators are the bytes up to ' '
+    opens = word[1:] > word[:-1]  # [i]: raw[i + 1] opens a token
+    # the bytes of a number but '0' and '.': digits 1-9, letters and signs
+    nonzero = raw > 48
+    if b"+" in block or b"-" in block:
+        nonzero |= (raw == 43) | (raw == 45)
+    runs = nonzero[1:] > nonzero[:-1]  # [i]: raw[i + 1] opens a run of them
+    if np.count_nonzero(runs) * 8 > np.count_nonzero(opens):
+        return None
+    zeroless = block.translate(None, b"0")
+    # the few bytes left without '0', '.', ' ' and newlines: tabs and the nonzero tokens' own
+    if zeroless.translate(None, b" \n.").translate(None, _NUMBER_BYTES):
         return None
     # with the zeros gone, two dots of one token with no other byte between meet
     dots = np.frombuffer(zeroless, dtype=np.uint8) == 46
     if np.any(dots[1:] & dots[:-1]):
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    word = raw > 32  # the separators are the bytes up to ' '
-    bound = np.flatnonzero(word[1:] != word[:-1]) + 1  # text opens and closes with a separator
-    starts, ends = bound[0::2], bound[1::2]
-    newlines = np.cumsum([len(row) + 1 for row in rows])  # the one after each row
-    if np.any(np.searchsorted(starts, newlines) != ny * np.arange(1, len(rows) + 1)):
+    if np.any((raw[1:-1] == 46) > (word[:-2] | word[2:])):  # a lone '.'
         return None
-    if np.any(raw[starts[ends - starts == 1]] == 46):  # a lone '.'
-        return None
-    # a byte above '0', or a sign: every other byte of a token is '0' or '.'
-    numeric = np.flatnonzero((raw > 48) | (word & (raw < 46)))
-    firsts = numeric[np.diff(numeric, prepend=-2) > 1]  # the first byte of each run of them
-    convert = np.unique(np.searchsorted(starts, firsts, side="right") - 1)
-    if convert.size * 8 > starts.size:
-        return None
-    return convert, [text[s:e] for s, e in zip(starts[convert].tolist(), ends[convert].tolist())]
+    cut = raw[:-1] == 10
+    cut[1:] |= runs[:-1]
+    at = np.flatnonzero(cut)
+    # a stretch of L bytes opens at most L / 2 + 1 tokens, so 16 bits count them in a short block
+    return at, np.add.reduceat(opens.view(np.uint8), at,
+                               dtype=np.uint16 if raw.size < 1 << 17 else np.uint32)
 
 
-def _scan_body(rows: list[str], ny: int):
-    """The row-major positions and weights of a mostly-zero body's tokens other than +0, or None.
+def _scan_body(data: bytes, start: int, nx: int, ny: int):
+    """The entries (x, y, w) of a mostly-zero body's tokens other than +0, or None.
 
-    The tokens the block scans keep are converted by the same loadtxt call
-    as the dense path, so each weight is bit for bit the same; None sends
-    the body down that path, which then reports any error.
+    The body is data[start:], after a newline: nx rows of ny tokens, each
+    ended by a newline but perhaps the last.  Blocks of whole rows are
+    scanned in place; a
+    token of only '0' and '.', with one '.' at most and one '0' at least,
+    reads as +0.0 and is skipped, and the tokens that hold a run of other
+    bytes are converted by one loadtxt call, as the dense path converts
+    them, so each weight is bit for bit the same.  None sends the body down
+    that path, which then reports any error.
     """
-    positions, tokens = [], []
-    step = max(1, _SCAN_BLOCK // (len(rows[0]) + 1))  # rows all hold ny tokens, so one sizes all
-    for start in range(0, len(rows), step):
-        found = _scan_block(rows[start:start + step], ny)
+    cuts, counts = [], []
+    pos = start - 1  # each block opens with the newline before its first row
+    while pos < len(data) - 1:
+        end = data.find(b"\n", pos + _SCAN_BLOCK)
+        block = data[pos:end + 1] if end >= 0 else data[pos:]
+        if not block.endswith(b"\n"):  # the last row's newline may be missing
+            block += b"\n"
+        found = _scan_block(block)
         if found is None:
             return None
-        positions.append(found[0] + start * ny)
-        tokens.extend(found[1])
+        cuts.append(found[0] + pos)
+        counts.append(found[1])
+        pos += len(block) - 1
+    at, counts = np.concatenate(cuts), np.concatenate(counts)
+    before = np.cumsum(counts, dtype=np.intp) - counts  # the tokens opened before each cut
+    raw = np.frombuffer(data, dtype=np.uint8)
+    row = raw[at] == 10
+    if (np.count_nonzero(row) != nx or before[-1] + counts[-1] != nx * ny
+            or np.any(before[row] != ny * np.arange(nx))):
+        return None
+    tokens = before[~row] - 1  # the token each run lies in, row-major
+    first = np.ones(tokens.size, dtype=bool)  # a token's first run
+    first[1:] = tokens[1:] != tokens[:-1]
+    edges = _token_edges(raw, at[~row][first])
+    if edges is None:
+        return None
     w = np.zeros(0)
-    if tokens:  # loadtxt warns on an empty input
+    texts = [data[s:e] for s, e in zip(edges[0].tolist(), edges[1].tolist())]
+    if texts:  # loadtxt warns on an empty input
         try:
-            w = np.loadtxt(tokens, ndmin=1, comments=None)
+            w = np.loadtxt(texts, ndmin=1, comments=None)
         except ValueError:
             return None
-    return np.concatenate(positions), w  # Kernel drops the weights below TINY, -0 among them
+    return (*np.divmod(tokens[first], ny), w)  # Kernel drops the weights below TINY, -0 among them
+
+
+def _sizes(line: str, shapes) -> tuple[Quantale, IndexSet, IndexSet]:
+    """The family and the index sets, of the given grid shapes, that a QKERNEL 1 size line names."""
+    head = line.split()
+    if len(head) != 3:
+        raise ParseError(f"expected '<family> <|X|> <|Y|>', got {line!r}")
+    q = quantale(head[0])
+    try:
+        nx, ny = int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(f"sizes must be integers, got {line!r}") from None
+    return q, IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
+
+
+def _scan_file(data: bytes, shapes=lambda comments: (None, None)):
+    """The kernel and comment texts of a QKERNEL 1 file's bytes, read by the byte scan; or None.
+
+    shapes maps the comment texts to the grid shapes of X and Y.  None, for a
+    head that is not plain or a body the scan refuses, sends the file down the
+    str path (_lines, then _parse_kernel), which reports every error: a fault
+    of the head waits for it too, as an error further on (a non-ASCII byte
+    among the rows, say) comes first there.
+    """
+    head = _plain_head(data)
+    if head is None:
+        return None
+    size, comments, start = head
+    try:
+        q, domain, codomain = _sizes(size, shapes(comments))
+    except ValueError:
+        return None
+    entries = _scan_body(data, start, domain.size, codomain.size)
+    return None if entries is None else (Kernel(q, domain, codomain, entries=entries), comments)
 
 
 def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
 
-    A shape that does not cover its header size fails before the body is parsed.
+    This is the str path, for the files _scan_file does not read.  A shape
+    that does not cover its header size fails before the body is parsed.
     """
     if not lines:
         raise ParseError("missing size header line")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(f"expected '<family> <|X|> <|Y|>', got {lines[0]!r}")
-    q = quantale(head[0])
-    try:
-        nx, ny = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"sizes must be integers, got {lines[0]!r}") from None
-    domain, codomain = IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
+    q, domain, codomain = _sizes(lines[0], shapes)
+    nx, ny = domain.size, codomain.size
     rows = lines[1:]
     if len(rows) != nx:
         raise ParseError(f"expected {nx} data rows, found {len(rows)}")
-    scanned = _scan_body(rows, ny)
-    if scanned is not None:
-        x, y = np.divmod(scanned[0], ny)
-        return Kernel(q, domain, codomain, entries=(x, y, scanned[1]))
+    entries = _scan_body("\n".join(["", *rows, ""]).encode("ascii"), 1, nx, ny)
+    if entries is not None:
+        return Kernel(q, domain, codomain, entries=entries)
     # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
     try:
         values = np.loadtxt(rows, ndmin=2, comments=None)
@@ -459,5 +569,9 @@ def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
 @_names_file
 def read_kernel(path) -> tuple[Kernel, list[str]]:
     """Parse a QKERNEL file; returns the kernel and any comment lines."""
-    _, lines, comments = _read_lines(path, KERNEL_MAGIC)
+    data = Path(path).read_bytes()
+    scanned = _scan_file(data)
+    if scanned is not None:
+        return scanned
+    _, lines, comments = _lines(data, KERNEL_MAGIC)
     return _parse_kernel(lines), comments

@@ -33,6 +33,7 @@ from qimg import (
     is_orthogonal,
     join_elems,
     kernel_of,
+    load_kernel,
     read_kernel,
     scalar_mul,
     scalar_residuum,
@@ -528,34 +529,39 @@ def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     assert str(err.value).count(str(path)) == 1
 
 
-# the dense-path reference: with the body scan turned down, _parse_kernel
-# converts every token with one loadtxt and builds the kernel from the matrix
+# the dense-path reference: with the body scan turned down, read_kernel
+# takes the str path, which converts every token with one loadtxt and builds
+# the kernel from the matrix
 def _read_dense(path):
-    with mock.patch.object(transform, "_scan_body", lambda rows, ny: None):
+    with mock.patch.object(transform, "_scan_body", lambda data, start, nx, ny: None):
         return read_kernel(path)
 
 
 def _kernel_outcome(read, path):
-    """The kernel's family, sizes and stored arrays, bit for bit; or the error's text and offset."""
+    """The kernel's family, sizes and stored arrays, bit for bit, and the comments; or the error's text and offset."""
     try:
-        p, _ = read(path)
+        p, comments = read(path)
     except ParseError as exc:
         return str(exc), exc.offset
     arrays = (p.row_idx, p.row_w, p.col_idx, p.col_w)
-    return p.q.family, p.domain, p.codomain, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+    return p.q.family, p.domain, p.codomain, [(a.dtype, a.shape, a.tobytes()) for a in arrays], comments
 
 
 _ZERO_SPELLINGS = ["0", "0.0", ".0", "0.", "00"]
 _NONZERO_TOKENS = ["-0", "1.0", "0.25", "1e-320"]
 # the last four pass the byte scan, and loadtxt rejects them
 _BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#", "1.2.3", "e5", "+-1", "1e"]
+# whole-file variants that the str path reads: the byte scan reads some of them
+# in place and sends the rest down the str path
+_LAYOUTS = ["comment-head", "comment-rows", "blank", "spaces-line", "crlf", "trailing",
+            "no-newline", "non-ascii"]
 
 
 @st.composite
 def _kernel_texts(draw):
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 12))
     # mostly zero spellings, so that about half the bodies pass the scan's
-    # one-token-in-8 rule and the rest fall back
+    # one-run-in-8-tokens rule and the rest fall back
     token = st.sampled_from(_ZERO_SPELLINGS * 8 + _NONZERO_TOKENS)
     rows = [draw(st.lists(token, min_size=ny, max_size=ny)) for _ in range(nx)]
     # at most one flaw, so that each one meets the scan on its own
@@ -571,7 +577,19 @@ def _kernel_texts(draw):
         seps = draw(st.lists(st.sampled_from([" ", "\t", "  "]), min_size=len(row), max_size=len(row)))
         lines.append("".join(s + t for s, t in zip(seps, row)))
     family = draw(st.sampled_from(["goedel", "boolean"]))
-    return f"QKERNEL 1\n{family} {nx} {ny}\n" + "\n".join(lines) + "\n"
+    layout = draw(st.sets(st.sampled_from(_LAYOUTS), max_size=2))
+    head = [f"{family} {nx} {ny}"]
+    if "comment-head" in layout:
+        head = ["# before the sizes", *head, "\t# after them "]
+    if "trailing" in layout:
+        lines = [ln + draw(st.sampled_from([" ", "\t", "  "])) for ln in lines]
+    if "non-ascii" in layout:
+        lines[r] += "\u00e9"
+    for kind, line in (("comment-rows", "# among the rows"), ("blank", ""), ("spaces-line", " \t ")):
+        if kind in layout:
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    text = "\n".join(["QKERNEL 1", *head, *lines]) + ("" if "no-newline" in layout else "\n")
+    return text.replace("\n", "\r\n") if "crlf" in layout else text
 
 
 @given(text=_kernel_texts())
@@ -581,16 +599,38 @@ def _kernel_texts(draw):
 # a separator the scan refuses and the dense path reads as whitespace
 @example(text="QKERNEL 1\ngoedel 1 2\n0.5\x1f0.5\n")
 @example(text="QKERNEL 1\ngoedel 1 8\n0 0 0 0 0 0 0 1.2.3\n")  # loadtxt rejects a scanned token
+@example(text="QKERNEL 1\n# c\ngoedel 2 8\n\n0 0 0 0 0 0 0 1\n# c\n0 0 0 0 0 0 0 0")
+@example(text="QKERNEL 1\ngoedel 1 8\n0 0 0 0 0 0 0 1\u00e9\n")
 def test_body_scan_matches_the_dense_path(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("scan") / "k.qk"
-    path.write_text(text, encoding="ascii")
+    path.write_bytes(text.encode("utf-8"))
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
 def _scanned(path) -> bool:
-    """Whether the body scan, not the dense fallback, reads the file's body."""
-    _, lines, _ = transform._read_lines(path, transform.KERNEL_MAGIC)
-    return transform._scan_body(lines[1:], int(lines[0].split()[2])) is not None
+    """Whether the byte scan, not the str path, reads the file, in place."""
+    return transform._scan_file(path.read_bytes()) is not None
+
+
+_ROW1, _ROW0 = "0 0 0 0 0 0 0 0.5", "0 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("text, in_place", [
+    (f"QKERNEL 1\n# a\n\ngoedel 2 8\n  # b\n \t\n{_ROW1}\n{_ROW0}\n", True),
+    (f"QKERNEL 1\ngoedel 2 8\n\t{_ROW0} \n{_ROW1}", True),
+    (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n# among the rows\n{_ROW0}\n", False),
+    (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n\n{_ROW0}\n", False),
+    (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n \t\n", False),
+    (f"QKERNEL 1\r\ngoedel 2 8\r\n{_ROW1}\r\n{_ROW0}\r\n", False),
+    (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\r\n{_ROW0}\r\n", False),
+    (f"QKERNEL 1\n# caf\u00e9\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n", False),
+], ids=["head-comments-and-blanks", "loose-rows-no-final-newline", "comment-among-rows",
+        "blank-among-rows", "spaces-line-after-rows", "crlf", "crlf-rows", "non-ascii-comment"])
+def test_the_byte_scan_reads_only_plain_files_in_place(tmp_path, text, in_place):
+    path = tmp_path / "k.qk"
+    path.write_bytes(text.encode("utf-8"))
+    assert _scanned(path) is in_place
+    assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -619,6 +659,18 @@ def test_a_body_of_nonzero_tokens_takes_the_dense_path(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(p, name))
 
 
+def test_a_block_that_is_not_mostly_zeros_is_refused_before_its_cuts_are_found(tmp_path):
+    # the run count refuses the block before the scan builds an array with
+    # an entry per run, which would be one per token here
+    rng = np.random.default_rng(8)
+    path = tmp_path / "k.qk"
+    write_kernel(path, Kernel(PRODUCT, IndexSet(50), IndexSet(60), rng.uniform(0.01, 1.0, (50, 60))))
+    data = path.read_bytes()
+    start = transform._plain_head(data)[2]
+    with mock.patch.object(np, "flatnonzero", side_effect=AssertionError("the cuts were built")):
+        assert transform._scan_block(data[start - 1:]) is None
+
+
 def test_a_sparse_body_is_scanned_bit_for_bit(tmp_path):
     # 2 % random weights, written with repr, and the 1100-row chain
     rng = np.random.default_rng(9)
@@ -635,15 +687,30 @@ def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
     n = 1100
     path = tmp_path / "chain.qk"
     write_kernel(path, chain_kernel(GOEDEL, n))
-    _, lines, _ = transform._read_lines(path, transform.KERNEL_MAGIC)
+    data = path.read_bytes()
     tracemalloc.start()
     try:
-        p = transform._parse_kernel(lines)
+        p, _ = transform._scan_file(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert classify(p).level is KernelLevel.NORMAL
     assert peak < n * n * 8, f"parsing peaked at {peak} bytes"
+
+
+def test_loading_the_chain_file_peaks_below_one_and_a_half_times_its_size(tmp_path):
+    # the bytes are read once and scanned in blocks, so the file's own bytes
+    # are most of the peak
+    path = tmp_path / "chain.qk"
+    write_kernel(path, chain_kernel(GOEDEL, 1100))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_kernel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size, f"load_kernel peaked at {peak} bytes for a {size}-byte file"
 
 
 # --- layout boundary ------------------------------------------------------------
