@@ -101,7 +101,9 @@ def read_pgm(path) -> GridImage:
             raise ParseError(f"short payload: {len(payload)} of {count} bytes", offset=len(data))
         samples = np.frombuffer(payload, dtype=np.uint8)
     else:
-        body = _COMMENT.sub(b"", data[pos:])
+        body = data[pos:]
+        if b"#" in body:
+            body = _COMMENT.sub(b"", body)
         samples = _scan_samples(body, count)
         if samples is None:  # the token path, which reads every form int() takes and names errors
             tokens = body.split()

@@ -157,14 +157,15 @@ class KernelClass:
     orthogonal: bool
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise ShapeError unless cond; the message is formatted with args only then."""
     if not cond:
-        raise ShapeError(message)
+        raise ShapeError(message.format(*args))
 
 
 def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
     """Apply the transform with kernel p to f in Q^X."""
-    _require(f.index == p.domain, f"element over {f.index} fed to kernel domain {p.domain}")
+    _require(f.index == p.domain, "element over {} fed to kernel domain {}", f.index, p.domain)
     require_carrier(p.q, f.values)
     out = p.q._mul(f.values[p.col_idx], p.col_w).max(axis=0)
     return _unchecked(ModuleElement, p.codomain, out)
@@ -172,7 +173,7 @@ def forward(p: Kernel, f: ModuleElement) -> ModuleElement:
 
 def inverse(p: Kernel, g: ModuleElement) -> ModuleElement:
     """Apply the inverse (residual) transform with kernel p to g in Q^Y."""
-    _require(g.index == p.codomain, f"element over {g.index} fed to kernel codomain {p.codomain}")
+    _require(g.index == p.codomain, "element over {} fed to kernel codomain {}", g.index, p.codomain)
     require_carrier(p.q, g.values)
     out = p.q._residuum(p.row_w, g.values[p.row_idx]).min(axis=0)
     return _unchecked(ModuleElement, p.domain, out)
@@ -266,8 +267,10 @@ def _normal_witness(p: Kernel) -> tuple[int, ...] | None:
     for x, y in zip(xs.tolist(), p.row_idx[slots, xs].tolist()):
         adj[y].append(x)
     match_x: dict[int, int] = {}
-    for y in range(len(adj)):
-        if not _augment(y, adj, match_x):
+    for y, rows in enumerate(adj):
+        if rows and rows[0] not in match_x:  # _augment's own first step, without its set-up
+            match_x[rows[0]] = y
+        elif not _augment(y, adj, match_x):
             return None
     eps = [0] * len(adj)
     for x, y in match_x.items():
@@ -369,6 +372,9 @@ _HEAD_BYTES = bytes(range(32, 127)) + b"\t"
 # and for how many tokens at a time
 _REACH = 32
 _EDGE_CHUNK = 1 << 10
+# the uniform-rows pass reads blocks of whole rows of about _ROWS_BLOCK bytes;
+# the block scan measured slower at that size
+_ROWS_BLOCK = 1 << 18
 
 
 def _plain_head(data: bytes):
@@ -458,31 +464,112 @@ def _scan_block(block: bytes):
                                dtype=np.uint16 if raw.size < 1 << 17 else np.uint32)
 
 
+def _weights(texts: list[bytes]):
+    """The weights of the nonzero tokens' texts, or None if loadtxt rejects one.
+
+    One loadtxt call reads them all, as the dense path reads them.
+    """
+    if not texts:  # loadtxt warns on an empty input
+        return np.zeros(0)
+    try:
+        return np.loadtxt(texts, ndmin=1, comments=None)
+    except ValueError:
+        return None
+
+
+def _row_blocks(data: bytes, start: int, size: int):
+    """The (pos, end) of each block of whole rows of data[start:]: size bytes and the rest of a row.
+
+    data[pos] is the newline before the block's first row and data[end] the
+    one after its last, or end is len(data) if the last row has no newline.
+    """
+    pos = start - 1
+    while pos < len(data) - 1:
+        end = data.find(b"\n", min(pos + size, len(data) - 1))
+        end = end if end >= 0 else len(data)
+        yield pos, end
+        pos = end
+
+
+def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
+    """The entries (x, y, w) of a body of zeros spelled alike and single spaces, or None.
+
+    The zero spelling z is the first token of only '0's and one '.' at most
+    in the first 4 KiB of the first row, so a long row is never split whole;
+    the zero row r0 is ny z's split by spaces and ended by a newline.  In
+    each block of whole rows, the tokens that hold a byte above '0' are cut
+    out and z joins the pieces around them: the result must be r0 repeated,
+    so every row holds ny tokens, every other token is z, and a cut token's
+    row and column follow from its offset in the joined bytes.  A block that
+    fails refuses the body before any later block is read.
+    """
+    first = data[start:start + (1 << 12)].split(b"\n", 1)[0]
+    z = next((t for t in first.split(b" ")
+              if b"0" in t and t.count(b".") < 2 and not t.translate(None, b"0.")), None)
+    # a body the pass takes joins to at most 9/8 of its length (one run in 8
+    # tokens, each cut token at least one byte), so a larger claim fails here,
+    # before the zero row is built
+    if z is None or nx * ny * (len(z) + 1) > 2 * (len(data) - start):
+        return None
+    r0 = b" ".join([z] * ny) + b"\n"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    rows, starts, stops, texts = 0, [], [], []
+    for pos, end in _row_blocks(data, start, _ROWS_BLOCK):
+        if end == len(data):  # no final newline
+            return None
+        above = np.flatnonzero(raw[pos:end] > 48) + pos
+        runs = np.concatenate((above[:1], above[1:][above[1:] - above[:-1] > 1]))  # their first bytes
+        # at most one run among 8 tokens, counted as in a block of zero rows
+        if runs.size * 8 * (len(z) + 1) > end + 1 - pos:
+            return None
+        edges = _token_edges(raw, runs)
+        if edges is None:
+            return None
+        new = np.ones(runs.size, dtype=bool)  # a token's first run
+        new[1:] = edges[0][1:] != edges[0][:-1]
+        s, e = edges[0][new].tolist(), edges[1][new].tolist()
+        cut = [data[i:j] for i, j in zip(s, e)]
+        joined = z.join([data[i:j] for i, j in zip([pos + 1, *e], [*s, end + 1])])
+        k = len(joined) // len(r0)
+        if joined != r0 * k or b"".join(cut).translate(None, b"0" + _NUMBER_BYTES):
+            return None
+        rows += k
+        starts += s
+        stops += e
+        texts += cut
+    w = _weights(texts) if rows == nx else None
+    if w is None:
+        return None
+    # the offsets of the cut tokens in the joined body
+    starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
+    lengths = stops - starts
+    at = starts - start - (np.cumsum(lengths) - lengths) + len(z) * np.arange(starts.size)
+    return at // len(r0), at % len(r0) // (len(z) + 1), w
+
+
 def _scan_body(data: bytes, start: int, nx: int, ny: int):
     """The entries (x, y, w) of a mostly-zero body's tokens other than +0, or None.
 
     The body is data[start:], after a newline: nx rows of ny tokens, each
-    ended by a newline but perhaps the last.  Blocks of whole rows are
-    scanned in place; a
+    ended by a newline but perhaps the last.  A body of uniform rows takes
+    _uniform_rows; any other is scanned in place, by blocks of whole rows: a
     token of only '0' and '.', with one '.' at most and one '0' at least,
     reads as +0.0 and is skipped, and the tokens that hold a run of other
     bytes are converted by one loadtxt call, as the dense path converts
     them, so each weight is bit for bit the same.  None sends the body down
     that path, which then reports any error.
     """
+    entries = _uniform_rows(data, start, nx, ny)
+    if entries is not None:
+        return entries
     cuts, counts = [], []
-    pos = start - 1  # each block opens with the newline before its first row
-    while pos < len(data) - 1:
-        end = data.find(b"\n", pos + _SCAN_BLOCK)
-        block = data[pos:end + 1] if end >= 0 else data[pos:]
-        if not block.endswith(b"\n"):  # the last row's newline may be missing
-            block += b"\n"
-        found = _scan_block(block)
+    for pos, end in _row_blocks(data, start, _SCAN_BLOCK):
+        # the last row's newline may be missing
+        found = _scan_block(data[pos:end + 1] if end < len(data) else data[pos:] + b"\n")
         if found is None:
             return None
         cuts.append(found[0] + pos)
         counts.append(found[1])
-        pos += len(block) - 1
     at, counts = np.concatenate(cuts), np.concatenate(counts)
     before = np.cumsum(counts, dtype=np.intp) - counts  # the tokens opened before each cut
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -496,14 +583,9 @@ def _scan_body(data: bytes, start: int, nx: int, ny: int):
     edges = _token_edges(raw, at[~row][first])
     if edges is None:
         return None
-    w = np.zeros(0)
-    texts = [data[s:e] for s, e in zip(edges[0].tolist(), edges[1].tolist())]
-    if texts:  # loadtxt warns on an empty input
-        try:
-            w = np.loadtxt(texts, ndmin=1, comments=None)
-        except ValueError:
-            return None
-    return (*np.divmod(tokens[first], ny), w)  # Kernel drops the weights below TINY, -0 among them
+    w = _weights([data[s:e] for s, e in zip(edges[0].tolist(), edges[1].tolist())])
+    # Kernel drops the weights below TINY, -0 among them
+    return None if w is None else (*np.divmod(tokens[first], ny), w)
 
 
 def _sizes(line: str, shapes) -> tuple[Quantale, IndexSet, IndexSet]:

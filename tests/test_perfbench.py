@@ -1,6 +1,7 @@
 """The benchmark's tooling still runs against the program: its tracer and its own checks."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -101,3 +102,15 @@ def test_one_cli_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert failures == []
     # builder-made codebooks are stored as their parameters, not as a kernel body
     assert wl.extra()["codebook_file_bytes"] < 100
+
+
+def test_the_cli_chain_file_is_read_without_the_block_scan(monkeypatch, tmp_path):
+    # the cli workload's chain kernel, written by the benchmark's own writer, takes
+    # the uniform-rows pass: a change that loses that fast path fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from inputs import chain_kernel_rows, write_qkernel
+
+    path = tmp_path / "chain.qk"
+    write_qkernel(path, "goedel", chain_kernel_rows(1100))
+    monkeypatch.setattr(qimg.transform, "_scan_block", mock.Mock(side_effect=AssertionError("block scan")))
+    assert qimg.classify(qimg.load_kernel(path)).level is qimg.KernelLevel.NORMAL

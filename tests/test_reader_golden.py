@@ -7,7 +7,8 @@ stored arrays, sizes and comments that `read_kernel`, `load_kernel` and
 `read_codebook` return, and `qimg classify --kernel`'s stdout.  The weights
 are rationals and the builders' products, with no random numbers, so the
 digest depends only on the program.  A change to how the files are read
-that claims the same kernels must leave it as it is.
+that claims the same kernels must leave it as it is.  A second digest, taken
+the same way, covers a body whose zeros are spelled `0`.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from qimg import (GOEDEL, LUKASIEWICZ, PRODUCT, Codebook, IndexSet, Kernel, buil
 from support import chain_kernel
 
 GOLDEN = "41c624a5e2a32ef23c18f73e263329026de36f9c0a5b949fd37dee0cbf98b6de"
+GOLDEN_ZEROS_SPELLED_0 = "50a161b968b73cda6145a607e29339cee708e7f82a18d44132b9876ee84e2ce0"
 
 
 def _sparse_repr() -> Kernel:
@@ -37,6 +39,14 @@ def _commented(path) -> None:
     lines[13:13] = ["# among the rows", ""]
     lines.insert(30, "   # indented")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _spelled_0(path) -> None:
+    """A 200 x 800 product kernel, zeros spelled '0' and 1 % weights k/255, over several blocks."""
+    i, j = np.indices((200, 800))
+    values = np.where((i * 13 + j * 7) % 97 == 0, ((i * 5 + j * 3) % 255 + 1) / 255, 0.0)
+    rows = (" ".join("0" if v == 0.0 else repr(v) for v in row) for row in values.tolist())
+    path.write_text("QKERNEL 1\nproduct 200 800\n" + "\n".join(rows) + "\n", encoding="ascii")
 
 
 def _kernel_record(p: Kernel) -> list:
@@ -62,3 +72,12 @@ def test_readers_and_classify_match_the_golden_digest(tmp_path, capsys):
         record.append(capsys.readouterr().out)
         digest.update(repr(record).encode("ascii"))
     assert digest.hexdigest() == GOLDEN
+
+
+def test_a_body_of_zeros_spelled_0_matches_its_golden_digest(tmp_path, capsys):
+    path = tmp_path / "zeros.qk"
+    _spelled_0(path)
+    p, comments = read_kernel(path)
+    assert cli.main(["classify", "--kernel", str(path)]) == 0
+    record = [_kernel_record(p), comments, _kernel_record(load_kernel(path)), capsys.readouterr().out]
+    assert hashlib.sha256(repr(record).encode("ascii")).hexdigest() == GOLDEN_ZEROS_SPELLED_0

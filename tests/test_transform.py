@@ -514,9 +514,11 @@ def test_kernel_file_tolerates_loose_whitespace(tmp_path):
         ("QKERNEL 1\ngoedel 0 1\n", "non-empty"),
         ("QKERNEL 1\ngoedel 1 x\n0.5\n", "sizes must be integers, got 'goedel 1 x'"),
         ("QKERNEL 1\ngoedel 1.5 1\n0.5\n", "sizes must be integers, got 'goedel 1.5 1'"),
+        # no row of 10^12 zeros is built to compare the body with
+        ("QKERNEL 1\ngoedel 1 1000000000000\n0 0\n", "row 0 has 2 values, expected 1000000000000"),
     ],
     ids=["magic", "family", "rows", "cols", "range", "token", "non-ascii", "no-size-line",
-         "short-size-line", "empty-domain", "non-integer-size", "fractional-size"],
+         "short-size-line", "empty-domain", "non-integer-size", "fractional-size", "huge-row"],
 )
 def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     from qimg import ParseError
@@ -607,6 +609,73 @@ def test_body_scan_matches_the_dense_path(tmp_path_factory, text):
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
+# the flaws a body of uniform rows may carry, one at a time
+_UNIFORM_FLAWS = ["spelling", "tab", "double-space", "trailing-space", "move", "drop", "-0",
+                  "1.2.3", "no-newline"]
+
+
+@st.composite
+def _uniform_texts(draw):
+    """A body of one zero spelling and single spaces, with at most one flaw, and a block size.
+
+    With a small block size the body spans several blocks, and the flaw sits in the last one.
+    """
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    z = draw(st.sampled_from(_ZERO_SPELLINGS))
+    token = st.sampled_from([z] * 40 + ["1.0", "0.25", "1e-320", "0.505"])
+    rows = [draw(st.lists(token, min_size=ny, max_size=ny)) for _ in range(nx)]
+    block = draw(st.sampled_from([None, 8, 40]))
+    r = nx - 1 if block else draw(st.integers(0, nx - 1))
+    flaw, c = draw(st.sampled_from([None] * 3 + _UNIFORM_FLAWS)), draw(st.integers(0, ny - 1))
+    if flaw == "spelling":
+        rows[r][c] = draw(st.sampled_from([s for s in _ZERO_SPELLINGS if s != z]))
+    elif flaw in ("-0", "1.2.3"):
+        rows[r][c] = flaw
+    elif flaw == "move":
+        rows[(r + 1) % nx].append(rows[r].pop())
+    elif flaw == "drop":
+        rows[r].pop()
+    lines = [" ".join(row) for row in rows]
+    sep = {"tab": "\t", "double-space": "  "}.get(flaw)
+    if sep:
+        lines[r] = lines[r].replace(" ", sep, 1) if " " in lines[r] else sep + lines[r]
+    if flaw == "trailing-space":
+        lines[r] += " "
+    text = "\n".join(["QKERNEL 1", f"goedel {nx} {ny}", *lines])
+    return text + ("" if flaw == "no-newline" else "\n"), block
+
+
+@given(case=_uniform_texts())
+@example(case=("QKERNEL 1\ngoedel 3 2\n0 0\n0 1.0\n0 0.0\n", 8))  # another spelling, last block
+@example(case=("QKERNEL 1\ngoedel 3 2\n0.0 0.0\n0.0 1.0\n0.0\t0.0\n", 8))
+@example(case=("QKERNEL 1\ngoedel 2 3\n.0 1.0 .0\n.0 .0 -0\n", 8))
+@example(case=("QKERNEL 1\ngoedel 2 2\n0. 0.\n0. 1.2.3\n", None))
+@example(case=("QKERNEL 1\ngoedel 2 2\n00 0.25\n00 00", 8))
+# a token moved to the row before, in one block: the body's length and row count still hold
+@example(case=("QKERNEL 1\ngoedel 3 3\n0.0 0.0 0.0\n0.0 0.0 0.0 1.0\n0.0 0.0\n", None))
+def test_uniform_rows_match_the_dense_path(tmp_path_factory, case):
+    text, block = case
+    path = tmp_path_factory.mktemp("uniform") / "k.qk"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(transform, "_ROWS_BLOCK", block or transform._ROWS_BLOCK):
+        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+@pytest.mark.parametrize("z", _ZERO_SPELLINGS)
+def test_uniform_rows_read_every_zero_spelling(tmp_path, z):
+    # a nonzero token first, so the spelling is found further along the first row; few
+    # enough nonzero tokens for the one-run-in-8 rule
+    rows = [[z] * 12 for _ in range(4)]
+    rows[0][0], rows[1][11], rows[3][0], rows[3][1] = "0.5", "1e-3", "1", "0.505"
+    path = tmp_path / "k.qk"
+    path.write_text("QKERNEL 1\nproduct 4 12\n" + "".join(" ".join(r) + "\n" for r in rows),
+                    encoding="ascii")
+    data = path.read_bytes()
+    x, y, w = transform._uniform_rows(data, transform._plain_head(data)[2], 4, 12)
+    assert (x.tolist(), y.tolist(), w.tolist()) == ([0, 1, 3, 3], [0, 11, 0, 1], [0.5, 1e-3, 1.0, 0.505])
+    assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
 def _scanned(path) -> bool:
     """Whether the byte scan, not the str path, reads the file, in place."""
     return transform._scan_file(path.read_bytes()) is not None
@@ -638,11 +707,11 @@ def test_the_byte_scan_reads_only_plain_files_in_place(tmp_path, text, in_place)
     ("", "row 63 has 1099 values, expected 1100"),
 ], ids=["token", "row-length"])
 def test_a_fault_in_the_last_scan_block_is_reported(tmp_path, bad, fragment):
-    # 64 rows of 1100 zeros span several scan blocks; only the last row is bad
+    # 64 rows of 1100 zeros span several blocks of either pass; only the last row is bad
     rows = ["0.0 " * 1099 + "0.0"] * 63 + ["0.0 " * 1099 + bad]
     path = tmp_path / "k.qk"
     path.write_text("QKERNEL 1\ngoedel 64 1100\n" + "\n".join(rows) + "\n", encoding="ascii")
-    assert len(rows[0]) * 64 > 4 * transform._SCAN_BLOCK
+    assert len(rows[0]) * 64 > max(4 * transform._SCAN_BLOCK, transform._ROWS_BLOCK)
     with pytest.raises(ParseError, match=fragment):
         read_kernel(path)
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
@@ -671,16 +740,35 @@ def test_a_block_that_is_not_mostly_zeros_is_refused_before_its_cuts_are_found(t
         assert transform._scan_block(data[start - 1:]) is None
 
 
-def test_a_sparse_body_is_scanned_bit_for_bit(tmp_path):
-    # 2 % random weights, written with repr, and the 1100-row chain
+def _sparse_and_chain(tmp_path):
+    """The 2 % random weights, written with repr, and the 1100-row chain, as files."""
     rng = np.random.default_rng(9)
     values = rng.uniform(0.0, 1.0, (300, 400)) * (rng.random((300, 400)) < 0.02)
     for name, p in (("sparse", Kernel(LUKASIEWICZ, IndexSet(300), IndexSet(400), values)),
                     ("chain", chain_kernel(GOEDEL, 1100))):
         path = tmp_path / f"{name}.qk"
         write_kernel(path, p)
-        assert _scanned(path)
-        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+        yield path
+
+
+def test_a_sparse_body_is_scanned_bit_for_bit(tmp_path):
+    # with the uniform-rows pass refusing, the block scan reads both files over
+    # several blocks
+    for path in _sparse_and_chain(tmp_path):
+        assert path.stat().st_size > 4 * transform._SCAN_BLOCK
+        with mock.patch.object(transform, "_uniform_rows", return_value=None):
+            assert _scanned(path)
+            assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+def test_a_sparse_body_of_uniform_rows_is_read_bit_for_bit(tmp_path):
+    # both files span several blocks of uniform rows, so the block scan is never called
+    for path in _sparse_and_chain(tmp_path):
+        assert path.stat().st_size > transform._ROWS_BLOCK
+        dense = _kernel_outcome(_read_dense, path)
+        with mock.patch.object(transform, "_scan_block", side_effect=AssertionError("block scan")):
+            assert _scanned(path)
+            assert _kernel_outcome(read_kernel, path) == dense
 
 
 def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
