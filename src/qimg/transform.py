@@ -323,6 +323,10 @@ _WRITE_BLOCK = 1 << 16  # entries densified at once by write_kernel
 
 
 def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
+    """Write p as a QKERNEL 1 file; each comment must be one line of ASCII, so it reads back."""
+    for c in comments:
+        if not c.isascii() or "".join(c.splitlines()) != c:  # checked before the file is opened
+            raise ValueError(f"comment {c!r} is not one line of ASCII")
     lines = [KERNEL_MAGIC, f"{p.q.family} {p.domain.size} {p.codomain.size}"]
     lines.extend(f"# {c}" for c in comments)
     # a block of rows at a time, so the dense matrix never exists whole
@@ -358,22 +362,17 @@ def _bad_row(rows: list[str], ny: int) -> str:
     return "malformed data rows"
 
 
-# The byte scan reads a QKERNEL 1 file from its bytes, in blocks of whole rows
-# of about _SCAN_BLOCK bytes, small enough for each pass over a block to stay
-# in cache.
-_SCAN_BLOCK = 1 << 16
-# every byte but '0' that a separator or a loadtxt float may hold: digits,
-# signs, exponents and the letters of nan, inf and infinity
-_NUMBER_BYTES = b" \t\n.123456789+-eEnaiftyNAIFTY"
+# the bytes a loadtxt float may hold: digits, '.', signs, exponents and the
+# letters of nan, inf and infinity
+_NUMBER_BYTES = b"0.123456789+-eEnaiftyNAIFTY"
 # the bytes of a line before the first row: on these, splitting at newlines and
 # stripping the bytes read the line as _lines does
 _HEAD_BYTES = bytes(range(32, 127)) + b"\t"
-# how far from a token's first nonzero byte the scan looks for its separators,
+# how far from a token's first byte above '0' the pass looks for its separators,
 # and for how many tokens at a time
 _REACH = 32
 _EDGE_CHUNK = 1 << 10
-# the uniform-rows pass reads blocks of whole rows of about _ROWS_BLOCK bytes;
-# the block scan measured slower at that size
+# the uniform-rows pass reads blocks of whole rows of about _ROWS_BLOCK bytes
 _ROWS_BLOCK = 1 << 18
 
 
@@ -404,11 +403,11 @@ def _plain_head(data: bytes):
 
 
 def _token_edges(raw: np.ndarray, firsts: np.ndarray):
-    """Where the tokens whose first nonzero byte sits at firsts start and end; or None.
+    """Where the tokens holding the bytes at firsts start and end; or None.
 
-    Only '0' and '.' precede a token's first nonzero byte, so the token starts
-    after the nearest separator before it and ends at the nearest one after,
-    or at the end of raw.  None if either lies more than _REACH bytes away.
+    A token starts after the nearest separator (a byte up to ' ') before its
+    byte at firsts and ends at the nearest one after, or at the end of raw.
+    None if either lies more than _REACH bytes away.
     The windows are read _EDGE_CHUNK tokens at a time, to bound their memory.
     """
     starts, ends = np.empty_like(firsts), np.empty_like(firsts)
@@ -424,73 +423,6 @@ def _token_edges(raw: np.ndarray, firsts: np.ndarray):
     return starts, ends
 
 
-def _scan_block(block: bytes):
-    """Where a block's rows and runs of nonzero bytes start, and how many tokens follow each; or None.
-
-    The block opens with the newline before its first row and ends with the
-    one after its last.  The cuts, ascending, are every newline but the last
-    and the first byte of every run of bytes other than '0', '.' and the
-    separators; counts[k] tokens open after cut k and up to the next.  None
-    unless every byte is a separator or may be part of a number, no token
-    is '.' or holds two dots and '0's alone, and at most one run sits among
-    8 tokens, so a body that is not mostly zeros fails before any array of
-    its tokens is built.
-    """
-    raw = np.frombuffer(block, dtype=np.uint8)
-    word = raw > 32  # the separators are the bytes up to ' '
-    opens = word[1:] > word[:-1]  # [i]: raw[i + 1] opens a token
-    # the bytes of a number but '0' and '.': digits 1-9, letters and signs
-    nonzero = raw > 48
-    if b"+" in block or b"-" in block:
-        nonzero |= (raw == 43) | (raw == 45)
-    runs = nonzero[1:] > nonzero[:-1]  # [i]: raw[i + 1] opens a run of them
-    if np.count_nonzero(runs) * 8 > np.count_nonzero(opens):
-        return None
-    zeroless = block.translate(None, b"0")
-    # the few bytes left without '0', '.', ' ' and newlines: tabs and the nonzero tokens' own
-    if zeroless.translate(None, b" \n.").translate(None, _NUMBER_BYTES):
-        return None
-    # with the zeros gone, two dots of one token with no other byte between meet
-    dots = np.frombuffer(zeroless, dtype=np.uint8) == 46
-    if np.any(dots[1:] & dots[:-1]):
-        return None
-    if np.any((raw[1:-1] == 46) > (word[:-2] | word[2:])):  # a lone '.'
-        return None
-    cut = raw[:-1] == 10
-    cut[1:] |= runs[:-1]
-    at = np.flatnonzero(cut)
-    # a stretch of L bytes opens at most L / 2 + 1 tokens, so 16 bits count them in a short block
-    return at, np.add.reduceat(opens.view(np.uint8), at,
-                               dtype=np.uint16 if raw.size < 1 << 17 else np.uint32)
-
-
-def _weights(texts: list[bytes]):
-    """The weights of the nonzero tokens' texts, or None if loadtxt rejects one.
-
-    One loadtxt call reads them all, as the dense path reads them.
-    """
-    if not texts:  # loadtxt warns on an empty input
-        return np.zeros(0)
-    try:
-        return np.loadtxt(texts, ndmin=1, comments=None)
-    except ValueError:
-        return None
-
-
-def _row_blocks(data: bytes, start: int, size: int):
-    """The (pos, end) of each block of whole rows of data[start:]: size bytes and the rest of a row.
-
-    data[pos] is the newline before the block's first row and data[end] the
-    one after its last, or end is len(data) if the last row has no newline.
-    """
-    pos = start - 1
-    while pos < len(data) - 1:
-        end = data.find(b"\n", min(pos + size, len(data) - 1))
-        end = end if end >= 0 else len(data)
-        yield pos, end
-        pos = end
-
-
 def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
     """The entries (x, y, w) of a body of zeros spelled alike and single spaces, or None.
 
@@ -501,22 +433,26 @@ def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
     out and z joins the pieces around them: the result must be r0 repeated,
     so every row holds ny tokens, every other token is z, and a cut token's
     row and column follow from its offset in the joined bytes.  A block that
-    fails refuses the body before any later block is read.
+    fails refuses the body before any later block is read, and so does a body
+    with no final newline.  The cut tokens go to one loadtxt call, as the dense
+    path reads them, so each weight is bit for bit the same.  None sends the
+    file down the str path.
     """
     first = data[start:start + (1 << 12)].split(b"\n", 1)[0]
     z = next((t for t in first.split(b" ")
               if b"0" in t and t.count(b".") < 2 and not t.translate(None, b"0.")), None)
-    # a body the pass takes joins to at most 9/8 of its length (one run in 8
-    # tokens, each cut token at least one byte), so a larger claim fails here,
-    # before the zero row is built
-    if z is None or nx * ny * (len(z) + 1) > 2 * (len(data) - start):
+    # a body the pass takes ends in a newline and joins to at most 9/8 of its
+    # length (one run in 8 tokens, each cut token at least one byte), so a
+    # larger claim fails here, before the zero row is built
+    if z is None or not data.endswith(b"\n") or nx * ny * (len(z) + 1) > 2 * (len(data) - start):
         return None
     r0 = b" ".join([z] * ny) + b"\n"
     raw = np.frombuffer(data, dtype=np.uint8)
     rows, starts, stops, texts = 0, [], [], []
-    for pos, end in _row_blocks(data, start, _ROWS_BLOCK):
-        if end == len(data):  # no final newline
-            return None
+    pos = start - 1
+    while pos < len(data) - 1:
+        # data[pos] is the newline before the block's first row, data[end] the one after its last
+        end = data.find(b"\n", min(pos + _ROWS_BLOCK, len(data) - 1))
         above = np.flatnonzero(raw[pos:end] > 48) + pos
         runs = np.concatenate((above[:1], above[1:][above[1:] - above[:-1] > 1]))  # their first bytes
         # at most one run among 8 tokens, counted as in a block of zero rows
@@ -531,61 +467,24 @@ def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
         cut = [data[i:j] for i, j in zip(s, e)]
         joined = z.join([data[i:j] for i, j in zip([pos + 1, *e], [*s, end + 1])])
         k = len(joined) // len(r0)
-        if joined != r0 * k or b"".join(cut).translate(None, b"0" + _NUMBER_BYTES):
+        if joined != r0 * k or b"".join(cut).translate(None, _NUMBER_BYTES):
             return None
         rows += k
         starts += s
         stops += e
         texts += cut
-    w = _weights(texts) if rows == nx else None
-    if w is None:
+        pos = end
+    if rows != nx:
+        return None
+    try:  # loadtxt warns on an empty input
+        w = np.loadtxt(texts, ndmin=1, comments=None) if texts else np.zeros(0)
+    except ValueError:
         return None
     # the offsets of the cut tokens in the joined body
     starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
     lengths = stops - starts
     at = starts - start - (np.cumsum(lengths) - lengths) + len(z) * np.arange(starts.size)
     return at // len(r0), at % len(r0) // (len(z) + 1), w
-
-
-def _scan_body(data: bytes, start: int, nx: int, ny: int):
-    """The entries (x, y, w) of a mostly-zero body's tokens other than +0, or None.
-
-    The body is data[start:], after a newline: nx rows of ny tokens, each
-    ended by a newline but perhaps the last.  A body of uniform rows takes
-    _uniform_rows; any other is scanned in place, by blocks of whole rows: a
-    token of only '0' and '.', with one '.' at most and one '0' at least,
-    reads as +0.0 and is skipped, and the tokens that hold a run of other
-    bytes are converted by one loadtxt call, as the dense path converts
-    them, so each weight is bit for bit the same.  None sends the body down
-    that path, which then reports any error.
-    """
-    entries = _uniform_rows(data, start, nx, ny)
-    if entries is not None:
-        return entries
-    cuts, counts = [], []
-    for pos, end in _row_blocks(data, start, _SCAN_BLOCK):
-        # the last row's newline may be missing
-        found = _scan_block(data[pos:end + 1] if end < len(data) else data[pos:] + b"\n")
-        if found is None:
-            return None
-        cuts.append(found[0] + pos)
-        counts.append(found[1])
-    at, counts = np.concatenate(cuts), np.concatenate(counts)
-    before = np.cumsum(counts, dtype=np.intp) - counts  # the tokens opened before each cut
-    raw = np.frombuffer(data, dtype=np.uint8)
-    row = raw[at] == 10
-    if (np.count_nonzero(row) != nx or before[-1] + counts[-1] != nx * ny
-            or np.any(before[row] != ny * np.arange(nx))):
-        return None
-    tokens = before[~row] - 1  # the token each run lies in, row-major
-    first = np.ones(tokens.size, dtype=bool)  # a token's first run
-    first[1:] = tokens[1:] != tokens[:-1]
-    edges = _token_edges(raw, at[~row][first])
-    if edges is None:
-        return None
-    w = _weights([data[s:e] for s, e in zip(edges[0].tolist(), edges[1].tolist())])
-    # Kernel drops the weights below TINY, -0 among them
-    return None if w is None else (*np.divmod(tokens[first], ny), w)
 
 
 def _sizes(line: str, shapes) -> tuple[Quantale, IndexSet, IndexSet]:
@@ -602,13 +501,14 @@ def _sizes(line: str, shapes) -> tuple[Quantale, IndexSet, IndexSet]:
 
 
 def _scan_file(data: bytes, shapes=lambda comments: (None, None)):
-    """The kernel and comment texts of a QKERNEL 1 file's bytes, read by the byte scan; or None.
+    """The kernel and comment texts of a QKERNEL 1 file's bytes, read in place; or None.
 
-    shapes maps the comment texts to the grid shapes of X and Y.  None, for a
-    head that is not plain or a body the scan refuses, sends the file down the
-    str path (_lines, then _parse_kernel), which reports every error: a fault
-    of the head waits for it too, as an error further on (a non-ASCII byte
-    among the rows, say) comes first there.
+    The file is read in place when its head is plain and _uniform_rows takes
+    its body.  shapes maps the comment texts to the grid shapes of X and Y.
+    None sends the file down the str path (_lines, then _parse_kernel), which
+    reads every other file and reports every error: a fault of the head waits
+    for it too, as an error further on (a non-ASCII byte among the rows, say)
+    comes first there.
     """
     head = _plain_head(data)
     if head is None:
@@ -618,15 +518,16 @@ def _scan_file(data: bytes, shapes=lambda comments: (None, None)):
         q, domain, codomain = _sizes(size, shapes(comments))
     except ValueError:
         return None
-    entries = _scan_body(data, start, domain.size, codomain.size)
+    entries = _uniform_rows(data, start, domain.size, codomain.size)
     return None if entries is None else (Kernel(q, domain, codomain, entries=entries), comments)
 
 
 def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
 
-    This is the str path, for the files _scan_file does not read.  A shape
-    that does not cover its header size fails before the body is parsed.
+    This is the str path, for the files _scan_file does not read: one dense
+    loadtxt reads the rows, and a row it rejects is named in the error.  A
+    shape that does not cover its header size fails before the body is parsed.
     """
     if not lines:
         raise ParseError("missing size header line")
@@ -635,9 +536,6 @@ def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
     rows = lines[1:]
     if len(rows) != nx:
         raise ParseError(f"expected {nx} data rows, found {len(rows)}")
-    entries = _scan_body("\n".join(["", *rows, ""]).encode("ascii"), 1, nx, ny)
-    if entries is not None:
-        return Kernel(q, domain, codomain, entries=entries)
     # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
     try:
         values = np.loadtxt(rows, ndmin=2, comments=None)

