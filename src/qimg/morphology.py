@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParseError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
-from .quantale import Quantale, require_carrier, unit_carrier
+from .quantale import BOOLEAN, Quantale, require_carrier, unit_carrier
 from .transform import Kernel, _lines
 
 __all__ = [
@@ -88,7 +88,17 @@ def reflect(se: StructuringElement) -> StructuringElement:
     return StructuringElement({(-dy, -dx): v for (dy, dx), v in se.items()})
 
 
-# Both operators pad the raster once, by the element's radius r, so every
+# Each public op checks the element's weights and the raster's pixels
+# against the family's carrier once, at its edge, and then folds an array
+# in one dtype from end to end: an opening or closing chains both stages on
+# that array and makes one float GridImage at the end.  The real families
+# fold the float64 pixels.  The Boolean carrier is {0, 1}, so its pixels
+# fold as uint8 bytes, and max and min on bytes are set union and
+# intersection; its every nonzero weight is 1, so act is never called and
+# the element is flat (below).  _level_fold picks no dtype: an array goes
+# in and one of the same dtype comes out.
+#
+# Each fold pads its array once, by the element's radius r, so every
 # offset is a slice view of one canvas; the edge values of ``replicate`` do
 # not depend on the pad width.  Offsets are first clamped to the raster's
 # extent, so r never exceeds it: a longer shift reads only padding, as a
@@ -125,30 +135,32 @@ def reflect(se: StructuringElement) -> StructuringElement:
 # of rows r + top to r + top + span + h, where top is the lowest row shift
 # that reads a shared run and span <= 2r the spread of those shifts; the
 # rows before the window are never written or read, so a far offset that
-# reads no shared run adds no rows to the builds.  So per 64-row tile the
-# 7x7 cone makes 39 fold calls and 8 mul calls under product, its Boolean
-# form 12 fold calls, disk5 10 and cross3 4.  A flat element (one level,
-# of weight 1) folds straight into the output tile.  Each shared run holds
-# one (64 + r + top + span) x cols buffer per strip, of which 64 + span
-# rows are written: 70 rows for the cone.
+# reads no shared run adds no rows to the builds.  So per tile the 7x7
+# cone makes 39 fold calls and 8 mul calls under product, its Boolean form
+# 12 fold calls, disk5 10 and cross3 4.  A flat element (one level, of
+# weight 1) folds straight into the output tile.  Each shared run holds one
+# (h + r + top + span) x cols buffer per strip, h the tile's rows, of which
+# h + span rows are written: 70 float rows for the cone.
 #
-# The fold runs over the output in tiles of _TILE rows, so each pass over a
-# tile's view, buffer and output stays in L2 cache.  The rows are split
-# into at most one horizontal strip per usable CPU, each at least one tile
-# tall and each folding at least _STRIP_WORK view pixels (pixels times
-# nonzero offsets, although shared runs fold fewer views): the calling
-# thread folds the first strip and the threads of a ThreadPoolExecutor
-# made for the call fold the others, in parallel because NumPy's ufunc
-# loops release the GIL.  Below that much work a helper's start, join and
-# GIL hand-offs cost more than the strip saves and make the op's time vary
-# from call to call, so a 256^2 raster, or 512^2 under cross3 or disk5,
-# runs inline, without importing the pool.  Every step above is
+# The fold runs over the output in tiles _TILE bytes tall, 64 float rows or
+# 512 byte rows, so each pass over a tile's view, buffer and output stays
+# in L2 cache.  The rows are split into at most one horizontal strip per
+# usable CPU, each at least one tile tall and each folding at least
+# _STRIP_WORK view bytes (pixels times nonzero offsets times the itemsize,
+# although shared runs fold fewer views): the calling thread folds the
+# first strip and the threads of a ThreadPoolExecutor made for the call
+# fold the others, in parallel because NumPy's ufunc loops release the
+# GIL.  Below that much work a helper's start, join and GIL hand-offs cost
+# more than the strip saves and make the op's time vary from call to call,
+# so a 256^2 raster, or 512^2 under cross3 or disk5, runs inline, without
+# importing the pool, and so does every 512^2 Boolean fold: one byte tile,
+# where the float cone7 takes two strips.  Every step above is
 # elementwise per output pixel (max, min and a map by a scalar v) or per
 # canvas pixel (a shared run), so no split of the rows changes a value,
 # whatever the worker count.
 
-_TILE = 64  # output rows folded per pass
-_STRIP_WORK = 1 << 21  # view pixels a helper strip must fold to repay its thread
+_TILE = 512  # bytes down each column of the output folded per pass: 64 float rows, 512 byte rows
+_STRIP_WORK = 1 << 24  # view bytes a helper strip must fold to repay its thread
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on macOS and Windows
@@ -161,9 +173,9 @@ def _clamp(offset, rows: int, cols: int) -> tuple[int, int]:
     return min(max(dy, -rows), rows), min(max(dx, -cols), cols)
 
 
-def _run_strips(fold_rows, rows: int, work: int) -> None:
+def _run_strips(fold_rows, rows: int, tile_rows: int, work: int) -> None:
     """Call fold_rows(start, stop) on each strip of rows, one per worker at most; join every helper first."""
-    n = max(1, min(_WORKERS, rows // _TILE, work // _STRIP_WORK))
+    n = max(1, min(_WORKERS, rows // tile_rows, work // _STRIP_WORK))
     if n == 1:
         return fold_rows(0, rows)  # inline: no pool and no import
     from concurrent.futures import ThreadPoolExecutor  # on the first threaded fold, not at import
@@ -214,32 +226,31 @@ def _row_plan(levels, sign: int):
     return top, max(shared_rows, default=0) - top, builds, steps
 
 
-def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empty: float):
-    """out(y) = fold over the offsets d of act(se(d), img(y + sign * d)); empty if none."""
-    rows, cols = img.shape
+def _level_fold(se, px: np.ndarray, padding: str, sign: int, fold, act, empty: float) -> np.ndarray:
+    """out(y) = fold over the offsets d of act(se(d), px(y + sign * d)); empty if none; px's dtype."""
+    rows, cols = px.shape
     levels: dict[float, list[tuple[int, int]]] = {}  # nonzero weight -> its offsets
     for d, v in se.items():
         if v != 0.0:
             levels.setdefault(v, []).append(_clamp(d, rows, cols))
-    require_carrier(cfg.q, np.array(list(levels)))
-    require_carrier(cfg.q, img.pixels)
     if not levels:
-        return _unchecked(GridImage, np.full(img.shape, empty))
-    out = np.empty(img.shape)  # every tile's first write is a copy
+        return np.full(px.shape, empty, px.dtype)
+    out = np.empty(px.shape, px.dtype)  # every tile's first write is a copy
     r = max(max(abs(dy), abs(dx)) for offsets in levels.values() for dy, dx in offsets)
-    if cfg.padding == "replicate":
-        canvas = np.pad(img.pixels, r, mode="edge")
+    if padding == "replicate":
+        canvas = np.pad(px, r, mode="edge")
     else:
-        canvas = np.pad(img.pixels, r, constant_values=0.0 if cfg.padding == "zero" else 1.0)
+        canvas = np.pad(px, r, constant_values=0 if padding == "zero" else 1)
     top, span, builds, steps = _row_plan(levels, sign)
     shifts = {sign * dx for offsets in levels.values() for _, dx in offsets}
     flat = len(steps) == 1 and steps[0][0] == 1.0  # one level of weight 1 folds into the tile
+    tile_rows = _TILE // px.itemsize
 
     def fold_rows(start, stop):
-        acc_buf = np.empty((min(_TILE, stop - start), cols))
-        run_bufs = {run: np.empty((r + top + span + len(acc_buf), cols)) for run, _ in builds}
-        for y in range(start, stop, _TILE):
-            h = min(_TILE, stop - y)
+        acc_buf = np.empty((min(tile_rows, stop - start), cols), px.dtype)
+        run_bufs = {run: np.empty((r + top + span + len(acc_buf), cols), px.dtype) for run, _ in builds}
+        for y in range(start, stop, tile_rows):
+            h = min(tile_rows, stop - y)
             tile = out[y : y + h]
             src = {frozenset({x}): canvas[y:, r + x : r + x + cols] for x in shifts}
             src.update(run_bufs)  # row i of every source is canvas row y + i
@@ -264,28 +275,48 @@ def _level_fold(se, img: GridImage, cfg: MorphConfig, sign: int, fold, act, empt
                     else:
                         fold(tile, level, out=tile)
 
-    _run_strips(fold_rows, rows, rows * cols * sum(map(len, levels.values())))
-    return _unchecked(GridImage, out)
+    views = rows * cols * sum(map(len, levels.values()))
+    _run_strips(fold_rows, rows, tile_rows, views * px.itemsize)
+    return out
+
+
+def _carrier(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> np.ndarray:
+    """img's pixels, checked once against cfg's carrier: bytes under BOOLEAN, whose nonzero weights are all 1."""
+    require_carrier(cfg.q, np.array(list(se.entries.values())))
+    require_carrier(cfg.q, img.pixels)
+    return img.pixels.astype(np.uint8) if cfg.q == BOOLEAN else img.pixels
+
+
+def _dilate(se, px, cfg):
+    return _level_fold(se, px, cfg.padding, -1, np.maximum, cfg.q._mul, 0.0)
+
+
+def _erode(se, px, cfg):
+    return _level_fold(se, px, cfg.padding, 1, np.minimum, cfg.q._residuum, 1.0)
+
+
+def _image(px: np.ndarray) -> GridImage:
+    return _unchecked(GridImage, px.astype(float, copy=False))
 
 
 def dilate(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
     """out(y) = join over x of mul(se(y - x), img(x))."""
-    return _level_fold(se, img, cfg, -1, np.maximum, cfg.q._mul, 0.0)
+    return _image(_dilate(se, _carrier(se, img, cfg), cfg))
 
 
 def erode(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
     """out(x) = meet over y of residuum(se(y - x), img(y))."""
-    return _level_fold(se, img, cfg, 1, np.minimum, cfg.q._residuum, 1.0)
+    return _image(_erode(se, _carrier(se, img, cfg), cfg))
 
 
 def opening(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
     """Erode then dilate; anti-extensive and idempotent."""
-    return dilate(se, erode(se, img, cfg), cfg)
+    return _image(_dilate(se, _erode(se, _carrier(se, img, cfg), cfg), cfg))
 
 
 def closing(se: StructuringElement, img: GridImage, cfg: MorphConfig) -> GridImage:
     """Dilate then erode; extensive and idempotent."""
-    return erode(se, dilate(se, img, cfg), cfg)
+    return _image(_erode(se, _dilate(se, _carrier(se, img, cfg), cfg), cfg))
 
 
 def toeplitz_kernel(se: StructuringElement, rows: int, cols: int, cfg: MorphConfig) -> Kernel:

@@ -52,10 +52,13 @@ def unit_carrier(arr: np.ndarray, what: str) -> np.ndarray:
     """Check a freshly made float array against [0,1] and flush it to {0} u [TINY, 1], in place.
 
     The float product underflows on a subnormal operand (0.5 * 5e-324 is
-    0), which would break the adjunction between mul and residuum.
+    0), which would break the adjunction between mul and residuum.  Exact
+    zeros (all bits clear) need no flush, so a binary raster skips it.
     """
     if require_unit(arr, what) < TINY:  # only then can an entry need the flush
-        np.putmask(arr, arr < TINY, BOTTOM)
+        low = arr < TINY
+        if np.count_nonzero(low) != np.count_nonzero(arr.view(np.uint64) == 0):  # a subnormal or -0.0
+            np.putmask(arr, low, BOTTOM)
     return arr
 
 

@@ -181,6 +181,32 @@ def test_boolean_rejects_grey_inputs():
         binary_brute_dilate(fuzzy_se, binary)
 
 
+@pytest.mark.parametrize("op", [dilate, erode, opening, closing], ids=lambda op: op.__name__)
+def test_boolean_refuses_a_grey_pixel_before_any_fold(monkeypatch, op):
+    # the carrier is checked once, at the edge of each public op
+    folds = []
+    monkeypatch.setattr(morphology, "_level_fold", lambda *args: folds.append(args))
+    px = np.ones((4, 5))
+    px[2, 3] = 0.5
+    with pytest.raises(DomainError):
+        op(preset("cross3"), GridImage(px), MorphConfig(BOOLEAN))
+    with pytest.raises(DomainError):
+        op(StructuringElement({(0, 0): 1.0, (0, 1): 0.5}), GridImage(np.ones((4, 5))),
+           MorphConfig(BOOLEAN))
+    assert folds == []
+
+
+@pytest.mark.parametrize("op", [dilate, erode, opening, closing], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("q", ALL_FAMILIES, ids=lambda q: q.family)
+def test_every_op_returns_read_only_float_pixels(q, op):
+    # Boolean rasters fold as bytes, and come back as floats like every family's
+    img = GridImage(unit_values(np.random.default_rng(83), (9, 7), q))
+    for se in (preset("disk5"), StructuringElement({(0, 0): 0.0})):
+        px = op(se, img, MorphConfig(q)).pixels
+        assert px.dtype == np.float64 and px.shape == img.shape
+        assert not px.flags.writeable
+
+
 def test_padding_name_validated():
     with pytest.raises(ValueError):
         MorphConfig(GOEDEL, padding="mirror")
@@ -417,15 +443,17 @@ def test_subnormal_weight_is_dropped_by_both_paths():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
-    # shapes around the 64-row tile and 3-strip splits; the far offset on 130
-    # rows shifts by more than a 65-row strip, and the shared runs there are
-    # read by rows a tile and a strip apart, two of them clamped onto one.
+    # shapes around the 64-row float tile, the 512-row byte tile and 3-strip
+    # splits; the far offset on 130 rows shifts by more than a 65-row strip,
+    # and the shared runs there are read by rows a tile and a strip apart, two
+    # of them clamped onto one; on 1100 rows the same holds for byte tiles.
     # Threads switch as often as the interpreter allows, so a write lost
     # between strips would show.
     monkeypatch.setattr(morphology, "_WORKERS", workers)
     monkeypatch.setattr(morphology, "_STRIP_WORK", 1)
     rng = np.random.default_rng(67)
-    shapes = [(1, 1), (63, 5), (64, 64), (65, 300), (129, 7), (300, 1), (1000, 3)]
+    shapes = [(1, 1), (63, 5), (64, 64), (65, 300), (129, 7), (300, 1), (1000, 3), (513, 6),
+              (1600, 3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -443,7 +471,8 @@ def test_strips_and_tiles_change_no_bit(monkeypatch, workers):
                 for shape in shapes:
                     assert_matches_per_offset(se, GridImage(unit_values(rng, shape, q)), cfg)
                 for tall in (far, runs, square3_and_far_row()):
-                    assert_matches_per_offset(tall, GridImage(unit_values(rng, (130, 9), q)), cfg)
+                    for shape in ((130, 9), (1100, 9)):
+                        assert_matches_per_offset(tall, GridImage(unit_values(rng, shape, q)), cfg)
     finally:
         sys.setswitchinterval(interval)
 
@@ -468,9 +497,9 @@ def test_shared_runs_fold_only_the_rows_their_readers_read():
             written.add(out.shape[0])
             return ufunc(a, b, out=out)
 
-        out = morphology._level_fold(se, img, cfg, sign, fold, act, empty)
+        out = morphology._level_fold(se, img.pixels, cfg.padding, sign, fold, act, empty)
         oracle = dilate_per_offset if sign == -1 else erode_per_offset
-        assert out.pixels.tobytes() == oracle(se, img, cfg).tobytes()
+        assert out.tobytes() == oracle(se, img, cfg).tobytes()
         assert max(written) == 64 + 2  # the tile, and a build over the tile plus the spread
 
 
@@ -478,8 +507,9 @@ def test_shared_runs_fold_only_the_rows_their_readers_read():
     ("cross3", 5), ("square3", 9), ("disk5", 13), ("cone7", 39), ("boolean-cone7", 15),
 ])
 def test_nested_levels_and_shared_runs_cut_the_folds_per_tile(name, most):
-    # a 64x64 raster is one inline tile; one fold per offset makes 5, 9, 13,
-    # 53 and 45 calls, and the cone's 8 mul calls stay one per weight below 1
+    # a 64x64 raster is one inline tile, of floats or (Boolean) of bytes; one
+    # fold per offset makes 5, 9, 13, 53 and 45 calls, and the cone's 8 mul
+    # calls stay one per weight below 1
     q = BOOLEAN if name == "boolean-cone7" else PRODUCT
     se = {"cone7": cone, "boolean-cone7": boolean_cone}.get(name, lambda: preset(name))()
     calls = {"fold": 0, "mul": 0}
@@ -494,8 +524,10 @@ def test_nested_levels_and_shared_runs_cut_the_folds_per_tile(name, most):
 
     img = GridImage(unit_values(np.random.default_rng(73), (64, 64), q))
     cfg = MorphConfig(q)
-    out = morphology._level_fold(se, img, cfg, -1, fold, mul, 0.0)
-    assert out.pixels.tobytes() == dilate_per_offset(se, img, cfg).tobytes()
+    px = img.pixels.astype(np.uint8) if q is BOOLEAN else img.pixels
+    out = morphology._level_fold(se, px, cfg.padding, -1, fold, mul, 0.0)
+    assert out.dtype == px.dtype
+    assert out.astype(float).tobytes() == dilate_per_offset(se, img, cfg).tobytes()
     assert calls["fold"] <= most
     assert calls["mul"] == len(set(se.entries.values()) - {0.0, 1.0})
 
@@ -528,9 +560,11 @@ def test_a_helper_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch, r
 
 @pytest.mark.parametrize("side, name, helpers", [
     (256, "disk5", 0), (256, "cone7", 0), (512, "cross3", 0), (512, "disk5", 0), (512, "cone7", 1),
+    (512, "boolean-cone7", 0),
 ])
 def test_only_folds_with_enough_work_per_strip_start_a_helper(monkeypatch, side, name, helpers):
-    # a helper costs more than it saves on a small fold and makes its time vary
+    # a helper costs more than it saves on a small fold and makes its time vary;
+    # a 512^2 Boolean cone folds 512-row byte tiles, so it is one inline tile
     monkeypatch.setattr(morphology, "_WORKERS", 2)
     started = []
 
@@ -540,9 +574,10 @@ def test_only_folds_with_enough_work_per_strip_start_a_helper(monkeypatch, side,
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)  # the pool starts its workers through it
-    se = cone() if name == "cone7" else preset(name)
-    img = GridImage(np.random.default_rng(71).uniform(0.0, 1.0, (side, side)))
-    assert_matches_per_offset(se, img, MorphConfig(PRODUCT))
+    q = BOOLEAN if name == "boolean-cone7" else PRODUCT
+    se = {"cone7": cone, "boolean-cone7": boolean_cone}.get(name, lambda: preset(name))()
+    img = GridImage(unit_values(np.random.default_rng(71), (side, side), q))
+    assert_matches_per_offset(se, img, MorphConfig(q))
     assert len(started) == 2 * helpers  # one dilate and one erode
 
 

@@ -160,6 +160,16 @@ def test_boolean_rejects_fractions():
         BOOLEAN.residuum(1.0, 5e-324)
 
 
+def test_unit_carrier_flushes_subnormals_and_negative_zero_only():
+    for tiny in (5e-324, 2e-308, -0.0):  # each beside exact zeros, which alone need no flush
+        arr = np.array([0.0, tiny, 1.0, 0.0, 0.5])
+        assert unit_carrier(arr, "values") is arr
+        assert arr.tobytes() == np.array([0.0, 0.0, 1.0, 0.0, 0.5]).tobytes()
+    # exact 0s and 1s, a binary raster's values, come back bit for bit
+    binary = (np.random.default_rng(89).random((64, 48)) < 0.5).astype(float)
+    assert unit_carrier(binary.copy(), "pixel values").tobytes() == binary.tobytes()
+
+
 @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
 def test_unit_interval_enforced(bad):
     with pytest.raises(DomainError):

@@ -574,10 +574,15 @@ _LAYOUTS = ["comment-head", "comment-rows", "blank", "spaces-line", "crlf", "tra
 @st.composite
 def _kernel_texts(draw):
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 12))
-    # mostly zero spellings; every row opens with a separator, so the
-    # uniform-rows pass refuses every body drawn here and these bodies check
-    # that refusal (_uniform_texts draws the bodies it takes)
-    token = st.sampled_from(_ZERO_SPELLINGS * 8 + _NONZERO_TOKENS)
+    # mostly zero spellings.  Uniform bodies spell every zero alike and split
+    # their tokens by single spaces, as the uniform-rows pass takes them when
+    # no flaw or layout turns it down; in the others every row opens with a
+    # separator, so the pass refuses them and they check that refusal
+    uniform = draw(st.booleans())
+    if uniform:
+        token = st.sampled_from([draw(st.sampled_from(_ZERO_SPELLINGS))] * 24 + _NONZERO_TOKENS)
+    else:
+        token = st.sampled_from(_ZERO_SPELLINGS * 8 + _NONZERO_TOKENS)
     rows = [draw(st.lists(token, min_size=ny, max_size=ny)) for _ in range(nx)]
     # at most one flaw, so that each one meets the readers on its own
     flaw, r = draw(st.sampled_from([None, "token", "move", "drop"])), draw(st.integers(0, nx - 1))
@@ -589,6 +594,9 @@ def _kernel_texts(draw):
         rows[r].pop()
     lines = []
     for row in rows:
+        if uniform:
+            lines.append(" ".join(row))
+            continue
         seps = draw(st.lists(st.sampled_from([" ", "\t", "  "]), min_size=len(row), max_size=len(row)))
         lines.append("".join(s + t for s, t in zip(seps, row)))
     family = draw(st.sampled_from(["goedel", "boolean"]))
