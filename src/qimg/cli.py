@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compression, morphology, pgm, transform
+from . import compression, formats, morphology, pgm, transform
 from .quantale import FAMILIES, quantale
 
 __all__ = ["main", "build_parser"]
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     families = sorted(FAMILIES)
 
     p = sub.add_parser("gen-codebook", help="generate a codebook kernel file")
-    p.add_argument("--builder", required=True, choices=compression.BUILDERS)
+    p.add_argument("--builder", required=True, choices=formats.BUILDERS)
     p.add_argument("--size", required=True, help="image grid, e.g. 64x64")
     p.add_argument("--codes", required=True, help="code grid, e.g. 16x16")
     p.add_argument("--quantale", default="goedel", choices=families)

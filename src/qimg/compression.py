@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError, _names_file
+from . import formats
+from .errors import DomainError, ShapeError, _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
-from .quantale import BOOLEAN, Quantale, quantale
-from .transform import (KERNEL_MAGIC, Kernel, _lines, _parse_kernel, _scan_file, forward, inverse,
-                        write_kernel)
+from .quantale import BOOLEAN, Quantale
+from .transform import Kernel, forward, inverse, write_kernel
 
 __all__ = [
     "Codebook",
@@ -182,21 +182,7 @@ def psnr(a: GridImage, b: GridImage) -> float:
     return 10.0 * math.log10(1.0 / err)
 
 
-# --- codebook files ------------------------------------------------------------
-#
-# A builder's parameters fix every entry of its kernel, so a builder-made
-# codebook is stored as them alone and the kernel is rebuilt on reading:
-#
-#   QCODEBOOK 1
-#   <family> <builder> <m> <n> <a> <b>
-#
-# A "custom" codebook is a QKERNEL 1 file whose "# builder custom m n a b"
-# comment gives the grid shapes.  Older files of the builders, whose comment
-# names the builder instead, read as custom too: no builder made their body.
-
-CODEBOOK_MAGIC = "QCODEBOOK 1"
-BUILDERS = ("triangular", "block")
-
+# --- codebook files, whose text formats.py holds ------------------------------
 
 def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
     """Run the builder called name; grids too large to allocate are a ValueError."""
@@ -210,68 +196,22 @@ def _build(name: str, q: Quantale, m: int, n: int, a: int, b: int) -> Codebook:
 
 def write_codebook(path, cb: Codebook) -> None:
     """Write cb as its builder's parameters, or as a dense QKERNEL 1 file if custom."""
-    m, n = cb.image_shape
-    a, b = cb.code_shape
+    (m, n), (a, b) = cb.image_shape, cb.code_shape
     if cb.builder == "custom":
-        write_kernel(path, cb.kernel, comments=[f"builder custom {m} {n} {a} {b}"])
-        return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{CODEBOOK_MAGIC}\n{cb.kernel.q.family} {cb.builder} {m} {n} {a} {b}\n")
-
-
-def _params(fields: list[str], names: tuple[str, ...]) -> tuple[str, int, int, int, int]:
-    """The builder name, one of names, and grid sizes of the fields '<builder> <m> <n> <a> <b>'."""
-    if fields[0] not in names:
-        raise ParseError(f"unknown builder {fields[0]!r}; expected one of {names}")
-    try:
-        m, n, a, b = (int(tok) for tok in fields[1:])
-    except ValueError:
-        raise ParseError(f"malformed builder parameters {fields[1:]}") from None
-    return fields[0], m, n, a, b
-
-
-def _rebuild(lines: list[str]) -> Codebook:
-    """The codebook of a QCODEBOOK 1 file's data lines, rebuilt from its parameters."""
-    if len(lines) != 1:
-        raise ParseError(f"expected one parameter line, found {len(lines)} data lines")
-    parts = lines[0].split()
-    if len(parts) != 6:
-        raise ParseError(f"expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
-    name, m, n, a, b = _params(parts[1:], BUILDERS)
-    return _build(name, quantale(parts[0]), m, n, a, b)
-
-
-def _grids(comments: list[str]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The image and code grid shapes that a custom codebook's builder comment gives."""
-    for c in comments:
-        parts = c.split()
-        if len(parts) == 6 and parts[0] == "builder":
-            break
+        write_kernel(path, cb.kernel, comments=[formats.builder_comment(m, n, a, b)])
     else:
-        raise ParseError("no '# builder <name> <m> <n> <a> <b>' comment line")
-    _, m, n, a, b = _params(parts[1:], BUILDERS + ("custom",))
-    return (m, n), (a, b)
+        formats.write_qcodebook(path, cb.kernel.q.family, cb.builder, m, n, a, b)
 
 
 @_names_file
 def read_codebook(path) -> Codebook:
     """Read a QCODEBOOK 1 file, or a QKERNEL 1 file with a builder comment."""
-    data = Path(path).read_bytes()
-    scanned = _scan_file(data, _grids)
-    if scanned is not None:
-        return Codebook(scanned[0])
-    magic, lines, comments = _lines(data, CODEBOOK_MAGIC, KERNEL_MAGIC)
-    if magic == CODEBOOK_MAGIC:
-        return _rebuild(lines)
-    return Codebook(_parse_kernel(lines, _grids(comments)))
+    params, kernel, _ = formats.read_qkernel(Path(path).read_bytes(), codebooks=True, grids=True)
+    return _build(*params) if params else Codebook(Kernel(**kernel))
 
 
 @_names_file
 def load_kernel(path) -> Kernel:
     """The kernel of a QKERNEL 1 file or of a QCODEBOOK 1 codebook file."""
-    data = Path(path).read_bytes()
-    scanned = _scan_file(data)
-    if scanned is not None:
-        return scanned[0]
-    magic, lines, _ = _lines(data, CODEBOOK_MAGIC, KERNEL_MAGIC)
-    return _rebuild(lines).kernel if magic == CODEBOOK_MAGIC else _parse_kernel(lines)
+    params, kernel, _ = formats.read_qkernel(Path(path).read_bytes(), codebooks=True)
+    return _build(*params).kernel if params else Kernel(**kernel)

@@ -20,11 +20,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, _names_file
+from . import formats
+from .errors import _names_file
 from .free_module import IndexSet, _unchecked
 from .grid import GridImage
 from .quantale import BOOLEAN, Quantale, require_carrier, unit_carrier
-from .transform import Kernel, _lines
+from .transform import Kernel
 
 __all__ = [
     "StructuringElement",
@@ -338,7 +339,7 @@ def toeplitz_kernel(se: StructuringElement, rows: int, cols: int, cfg: MorphConf
     return Kernel(cfg.q, index, index, entries=(x, (tr * cols + tc)[inside], w))
 
 
-# --- presets and the QSEL text format ---------------------------------------
+# --- presets and QSEL files ---------------------------------------------------
 
 def _all_ones(offsets) -> StructuringElement:
     return StructuringElement({d: 1.0 for d in offsets})
@@ -368,30 +369,10 @@ def preset(name: str) -> StructuringElement:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}") from None
 
 
-SEL_MAGIC = "QSEL 1"
-
-
 def write_sel(path, se: StructuringElement) -> None:
-    lines = [SEL_MAGIC, *(f"{dy} {dx} {v!r}" for (dy, dx), v in sorted(se.items()))]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    formats.write_qsel(path, sorted(se.items()))
 
 
 @_names_file
 def read_sel(path) -> StructuringElement:
-    _, lines, _ = _lines(Path(path).read_bytes(), SEL_MAGIC)
-    entries = {}
-    for i, ln in enumerate(lines):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError(f"entry {i} is not 'dy dx value'")
-        try:
-            dy, dx, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(f"entry {i} is malformed") from None
-        if (dy, dx) in entries:
-            raise ParseError(f"entry {i} repeats offset ({dy}, {dx})")
-        entries[(dy, dx)] = v
-    if not entries:
-        raise ParseError("no entries")
-    return StructuringElement(entries)
+    return StructuringElement(formats.read_qsel(Path(path).read_bytes()))

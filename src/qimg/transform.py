@@ -19,9 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, _names_file
+from . import formats
+from .errors import ShapeError, _names_file
 from .free_module import IndexSet, ModuleElement, _fill, _unchecked, delta
-from .quantale import TINY, Quantale, quantale, require_carrier
+from .quantale import TINY, Quantale, require_carrier
 
 __all__ = [
     "Kernel",
@@ -311,247 +312,21 @@ def classify(p: Kernel) -> KernelClass:
     return KernelClass(KernelLevel.GENERAL, None, orthogonal)
 
 
-# --- QKERNEL text format ---------------------------------------------------
-#
-#   QKERNEL 1
-#   <family> <|X|> <|Y|>
-#   # optional comment lines
-#   |X| lines of |Y| decimal values, row-major in x
+# --- QKERNEL 1 files, whose text formats.py holds -----------------------------
 
-KERNEL_MAGIC = "QKERNEL 1"
 _WRITE_BLOCK = 1 << 16  # entries densified at once by write_kernel
 
 
 def write_kernel(path, p: Kernel, comments: Sequence[str] = ()) -> None:
     """Write p as a QKERNEL 1 file; each comment must be one line of ASCII, so it reads back."""
-    for c in comments:
-        if not c.isascii() or "".join(c.splitlines()) != c:  # checked before the file is opened
-            raise ValueError(f"comment {c!r} is not one line of ASCII")
-    lines = [KERNEL_MAGIC, f"{p.q.family} {p.domain.size} {p.codomain.size}"]
-    lines.extend(f"# {c}" for c in comments)
     # a block of rows at a time, so the dense matrix never exists whole
     step = max(1, _WRITE_BLOCK // p.codomain.size)
-    for start in range(0, p.domain.size, step):
-        block = p._dense(slice(start, start + step)).tolist()
-        lines.extend(" ".join(map(repr, row)) for row in block)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _lines(data: bytes, *magics: str) -> tuple[str, list[str], list[str]]:
-    """The magic line, one of magics, then the data lines and comment texts, stripped; no blanks."""
-    raw = data.decode("ascii").splitlines()
-    magic = raw[0].strip() if raw else ""
-    if magic not in magics:
-        raise ParseError(f"missing {' or '.join(repr(m) for m in magics)} header")
-    stripped = [ln.strip() for ln in raw[1:]]
-    comments = [ln[1:].strip() for ln in stripped if ln.startswith("#")]
-    return magic, [ln for ln in stripped if ln and not ln.startswith("#")], comments
-
-
-def _bad_row(rows: list[str], ny: int) -> str:
-    """Describe the first data row that loadtxt rejects; error path only."""
-    for i, row in enumerate(rows):
-        count = len(row.split())
-        if count != ny:
-            return f"row {i} has {count} values, expected {ny}"
-        try:
-            np.loadtxt([row], comments=None)
-        except ValueError:
-            return f"row {i} holds a non-numeric token"
-    return "malformed data rows"
-
-
-# the bytes a loadtxt float may hold: digits, '.', signs, exponents and the
-# letters of nan, inf and infinity
-_NUMBER_BYTES = b"0.123456789+-eEnaiftyNAIFTY"
-# the bytes of a line before the first row: on these, splitting at newlines and
-# stripping the bytes read the line as _lines does
-_HEAD_BYTES = bytes(range(32, 127)) + b"\t"
-# how far from a token's first byte above '0' the pass looks for its separators,
-# and for how many tokens at a time
-_REACH = 32
-_EDGE_CHUNK = 1 << 10
-# the uniform-rows pass reads blocks of whole rows of about _ROWS_BLOCK bytes
-_ROWS_BLOCK = 1 << 18
-
-
-def _plain_head(data: bytes):
-    """The size line, comment texts and first row's offset of a QKERNEL 1 file; None unless plain.
-
-    Plain: the bytes open with the magic line, and every line before the first
-    row holds only printable ASCII and tabs.
-    """
-    pos = len(KERNEL_MAGIC) + 1
-    if data[:pos] != KERNEL_MAGIC.encode() + b"\n":
-        return None
-    size, comments = None, []
-    while pos < len(data):
-        end = data.find(b"\n", pos)
-        line = data[pos:end if end >= 0 else len(data)]
-        text = line.strip()
-        if size is not None and text and not text.startswith(b"#"):
-            return size, comments, pos
-        if line.translate(None, _HEAD_BYTES):
-            return None
-        if text.startswith(b"#"):
-            comments.append(text[1:].strip().decode("ascii"))
-        elif text:
-            size = text.decode("ascii")
-        pos = len(data) if end < 0 else end + 1
-    return None
-
-
-def _token_edges(raw: np.ndarray, firsts: np.ndarray):
-    """Where the tokens holding the bytes at firsts start and end; or None.
-
-    A token starts after the nearest separator (a byte up to ' ') before its
-    byte at firsts and ends at the nearest one after, or at the end of raw.
-    None if either lies more than _REACH bytes away.
-    The windows are read _EDGE_CHUNK tokens at a time, to bound their memory.
-    """
-    starts, ends = np.empty_like(firsts), np.empty_like(firsts)
-    for k in range(0, firsts.size, _EDGE_CHUNK):
-        f = firsts[k:k + _EDGE_CHUNK]
-        near = f[:, None] + np.arange(-_REACH, _REACH)
-        near = (raw.take(near, mode="clip") > 32) & (near < raw.size)
-        if near.reshape(-1, 2, _REACH).all(axis=2).any():
-            return None
-        # the first separator down from f - 1, and up from f
-        starts[k:k + _EDGE_CHUNK] = f - near[:, _REACH - 1::-1].argmin(axis=1)
-        ends[k:k + _EDGE_CHUNK] = f + near[:, _REACH:].argmin(axis=1)
-    return starts, ends
-
-
-def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
-    """The entries (x, y, w) of a body of zeros spelled alike and single spaces, or None.
-
-    The zero spelling z is the first token of only '0's and one '.' at most
-    in the first 4 KiB of the first row, so a long row is never split whole;
-    the zero row r0 is ny z's split by spaces and ended by a newline.  In
-    each block of whole rows, the tokens that hold a byte above '0' are cut
-    out and z joins the pieces around them: the result must be r0 repeated,
-    so every row holds ny tokens, every other token is z, and a cut token's
-    row and column follow from its offset in the joined bytes.  A block that
-    fails refuses the body before any later block is read, and so does a body
-    with no final newline.  The cut tokens go to one loadtxt call, as the dense
-    path reads them, so each weight is bit for bit the same.  None sends the
-    file down the str path.
-    """
-    first = data[start:start + (1 << 12)].split(b"\n", 1)[0]
-    z = next((t for t in first.split(b" ")
-              if b"0" in t and t.count(b".") < 2 and not t.translate(None, b"0.")), None)
-    # a body the pass takes ends in a newline and joins to at most 9/8 of its
-    # length (one run in 8 tokens, each cut token at least one byte), so a
-    # larger claim fails here, before the zero row is built
-    if z is None or not data.endswith(b"\n") or nx * ny * (len(z) + 1) > 2 * (len(data) - start):
-        return None
-    r0 = b" ".join([z] * ny) + b"\n"
-    raw = np.frombuffer(data, dtype=np.uint8)
-    rows, starts, stops, texts = 0, [], [], []
-    pos = start - 1
-    while pos < len(data) - 1:
-        # data[pos] is the newline before the block's first row, data[end] the one after its last
-        end = data.find(b"\n", min(pos + _ROWS_BLOCK, len(data) - 1))
-        above = np.flatnonzero(raw[pos:end] > 48) + pos
-        runs = np.concatenate((above[:1], above[1:][above[1:] - above[:-1] > 1]))  # their first bytes
-        # at most one run among 8 tokens, counted as in a block of zero rows
-        if runs.size * 8 * (len(z) + 1) > end + 1 - pos:
-            return None
-        edges = _token_edges(raw, runs)
-        if edges is None:
-            return None
-        new = np.ones(runs.size, dtype=bool)  # a token's first run
-        new[1:] = edges[0][1:] != edges[0][:-1]
-        s, e = edges[0][new].tolist(), edges[1][new].tolist()
-        cut = [data[i:j] for i, j in zip(s, e)]
-        joined = z.join([data[i:j] for i, j in zip([pos + 1, *e], [*s, end + 1])])
-        k = len(joined) // len(r0)
-        if joined != r0 * k or b"".join(cut).translate(None, _NUMBER_BYTES):
-            return None
-        rows += k
-        starts += s
-        stops += e
-        texts += cut
-        pos = end
-    if rows != nx:
-        return None
-    try:  # loadtxt warns on an empty input
-        w = np.loadtxt(texts, ndmin=1, comments=None) if texts else np.zeros(0)
-    except ValueError:
-        return None
-    # the offsets of the cut tokens in the joined body
-    starts, stops = np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp)
-    lengths = stops - starts
-    at = starts - start - (np.cumsum(lengths) - lengths) + len(z) * np.arange(starts.size)
-    return at // len(r0), at % len(r0) // (len(z) + 1), w
-
-
-def _sizes(line: str, shapes) -> tuple[Quantale, IndexSet, IndexSet]:
-    """The family and the index sets, of the given grid shapes, that a QKERNEL 1 size line names."""
-    head = line.split()
-    if len(head) != 3:
-        raise ParseError(f"expected '<family> <|X|> <|Y|>', got {line!r}")
-    q = quantale(head[0])
-    try:
-        nx, ny = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"sizes must be integers, got {line!r}") from None
-    return q, IndexSet(nx, shapes[0]), IndexSet(ny, shapes[1])
-
-
-def _scan_file(data: bytes, shapes=lambda comments: (None, None)):
-    """The kernel and comment texts of a QKERNEL 1 file's bytes, read in place; or None.
-
-    The file is read in place when its head is plain and _uniform_rows takes
-    its body.  shapes maps the comment texts to the grid shapes of X and Y.
-    None sends the file down the str path (_lines, then _parse_kernel), which
-    reads every other file and reports every error: a fault of the head waits
-    for it too, as an error further on (a non-ASCII byte among the rows, say)
-    comes first there.
-    """
-    head = _plain_head(data)
-    if head is None:
-        return None
-    size, comments, start = head
-    try:
-        q, domain, codomain = _sizes(size, shapes(comments))
-    except ValueError:
-        return None
-    entries = _uniform_rows(data, start, domain.size, codomain.size)
-    return None if entries is None else (Kernel(q, domain, codomain, entries=entries), comments)
-
-
-def _parse_kernel(lines: list[str], shapes=(None, None)) -> Kernel:
-    """The kernel of a QKERNEL 1 file's data lines, over index sets of the given grid shapes.
-
-    This is the str path, for the files _scan_file does not read: one dense
-    loadtxt reads the rows, and a row it rejects is named in the error.  A
-    shape that does not cover its header size fails before the body is parsed.
-    """
-    if not lines:
-        raise ParseError("missing size header line")
-    q, domain, codomain = _sizes(lines[0], shapes)
-    nx, ny = domain.size, codomain.size
-    rows = lines[1:]
-    if len(rows) != nx:
-        raise ParseError(f"expected {nx} data rows, found {len(rows)}")
-    # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
-    try:
-        values = np.loadtxt(rows, ndmin=2, comments=None)
-    except ValueError:
-        values = None
-    if values is None or values.shape[1] != ny:
-        raise ParseError(_bad_row(rows, ny))
-    return Kernel(q, domain, codomain, values)
+    blocks = (p._dense(slice(start, start + step)).tolist() for start in range(0, p.domain.size, step))
+    formats.write_qkernel(path, p.q.family, p.domain.size, p.codomain.size, comments, blocks)
 
 
 @_names_file
 def read_kernel(path) -> tuple[Kernel, list[str]]:
-    """Parse a QKERNEL file; returns the kernel and any comment lines."""
-    data = Path(path).read_bytes()
-    scanned = _scan_file(data)
-    if scanned is not None:
-        return scanned
-    _, lines, comments = _lines(data, KERNEL_MAGIC)
-    return _parse_kernel(lines), comments
+    """Parse a QKERNEL 1 file; returns the kernel and any comment lines."""
+    _, kernel, comments = formats.read_qkernel(Path(path).read_bytes())
+    return Kernel(**kernel), comments

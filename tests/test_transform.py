@@ -39,7 +39,7 @@ from qimg import (
     scalar_residuum,
     write_kernel,
 )
-from qimg import transform
+from qimg import formats
 from qimg.quantale import TINY
 from support import (
     ALL_FAMILIES,
@@ -475,7 +475,7 @@ def test_compose_rejects_mismatches():
         compose(p1, p3)
 
 
-# --- QKERNEL files --------------------------------------------------------------
+# --- QKERNEL files, read by formats.read_qkernel -------------------------------
 
 def test_kernel_file_round_trip(tmp_path):
     rng = np.random.default_rng(33)
@@ -546,9 +546,9 @@ def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
 
 # the dense-path reference: with the uniform-rows pass turned down, read_kernel
 # takes the str path, which converts every token with one loadtxt and builds
-# the kernel from the matrix
+# the kernel from the matrix's nonzeros
 def _read_dense(path):
-    with mock.patch.object(transform, "_uniform_rows", lambda data, start, nx, ny: None):
+    with mock.patch.object(formats, "_uniform_rows", lambda data, start, nx, ny: None):
         return read_kernel(path)
 
 
@@ -678,7 +678,7 @@ def test_uniform_rows_match_the_dense_path(tmp_path_factory, case):
     text, block = case
     path = tmp_path_factory.mktemp("uniform") / "k.qk"
     path.write_bytes(text.encode("ascii"))
-    with mock.patch.object(transform, "_ROWS_BLOCK", block or transform._ROWS_BLOCK):
+    with mock.patch.object(formats, "_ROWS_BLOCK", block or formats._ROWS_BLOCK):
         assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
@@ -692,14 +692,23 @@ def test_uniform_rows_read_every_zero_spelling(tmp_path, z):
     path.write_text("QKERNEL 1\nproduct 4 12\n" + "".join(" ".join(r) + "\n" for r in rows),
                     encoding="ascii")
     data = path.read_bytes()
-    x, y, w = transform._uniform_rows(data, transform._plain_head(data)[2], 4, 12)
+    x, y, w = formats._uniform_rows(data, formats._plain_head(data)[2], 4, 12)
     assert (x.tolist(), y.tolist(), w.tolist()) == ([0, 1, 3, 3], [0, 11, 0, 1], [0.5, 1e-3, 1.0, 0.505])
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
+class _StrPath(Exception):
+    """Raised where the str path would split the file into lines."""
+
+
 def _scanned(path) -> bool:
     """Whether the uniform-rows pass, not the str path, reads the file, in place."""
-    return transform._scan_file(path.read_bytes()) is not None
+    with mock.patch.object(formats, "_lines", side_effect=_StrPath):
+        try:
+            read_kernel(path)
+        except _StrPath:
+            return False
+    return True
 
 
 _ROW1, _ROW0 = "0 0 0 0 0 0 0 0.5", "0 0 0 0 0 0 0 0"
@@ -732,7 +741,7 @@ def test_a_fault_in_the_last_scan_block_is_reported(tmp_path, bad, fragment):
     rows = ["0.0 " * 1099 + "0.0"] * 63 + ["0.0 " * 1099 + bad]
     path = tmp_path / "k.qk"
     path.write_text("QKERNEL 1\ngoedel 64 1100\n" + "\n".join(rows) + "\n", encoding="ascii")
-    assert len(rows[0]) * 64 > transform._ROWS_BLOCK
+    assert len(rows[0]) * 64 > formats._ROWS_BLOCK
     with pytest.raises(ParseError, match=fragment):
         read_kernel(path)
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
@@ -763,7 +772,7 @@ def _sparse_and_chain(tmp_path):
 def test_a_sparse_body_of_uniform_rows_is_read_bit_for_bit(tmp_path):
     # both files span several blocks of uniform rows and are read in place
     for path in _sparse_and_chain(tmp_path):
-        assert path.stat().st_size > transform._ROWS_BLOCK
+        assert path.stat().st_size > formats._ROWS_BLOCK
         assert _scanned(path)
         assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
@@ -783,8 +792,21 @@ def test_write_kernel_files_of_one_weight_per_row_are_read_in_place(tmp_path, q,
     y = np.resize([0, 23, 11], len(weights))
     path = tmp_path / "k.qk"
     write_kernel(path, Kernel(q, IndexSet(2 * len(weights)), IndexSet(24), entries=(x, y, np.array(weights))))
-    with mock.patch.object(transform, "_ROWS_BLOCK", block or transform._ROWS_BLOCK):
+    with mock.patch.object(formats, "_ROWS_BLOCK", block or formats._ROWS_BLOCK):
         assert _scanned(path)
+        assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
+
+
+def test_a_row_of_more_runs_than_one_in_8_tokens_takes_the_dense_path(tmp_path):
+    # the pass's work grows with the runs of bytes above '0', not with the tokens,
+    # so the run count is its cost guard: 0.1020304050607081 is one token of 8
+    # runs, and a row of 24 tokens leaves room for 3
+    path = tmp_path / "k.qk"
+    x = np.arange(48)
+    write_kernel(path, Kernel(GOEDEL, IndexSet(48), IndexSet(24),
+                              entries=(x, x % 24, np.full(48, 0.1020304050607081))))
+    with mock.patch.object(formats, "_ROWS_BLOCK", 1):  # a block per row
+        assert not _scanned(path)
         assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
@@ -793,12 +815,13 @@ def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
     path = tmp_path / "chain.qk"
     write_kernel(path, chain_kernel(GOEDEL, n))
     data = path.read_bytes()
-    tracemalloc.start()
-    try:
-        p, _ = transform._scan_file(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with mock.patch.object(formats, "_lines", side_effect=_StrPath):  # in place, or it raises
+        tracemalloc.start()
+        try:
+            p = Kernel(**formats.read_qkernel(data)[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert classify(p).level is KernelLevel.NORMAL
     assert peak < n * n * 8, f"parsing peaked at {peak} bytes"
 
@@ -818,7 +841,7 @@ def test_loading_the_chain_file_peaks_below_one_and_a_half_times_its_size(tmp_pa
     assert peak < 1.5 * size, f"load_kernel peaked at {peak} bytes for a {size}-byte file"
 
 
-# --- layout boundary ------------------------------------------------------------
+# --- layout and format boundaries ----------------------------------------------
 
 def test_only_transform_names_the_kernel_layout():
     # the stored ELL arrays are transform.py's own: other modules go through Kernel
@@ -833,6 +856,25 @@ def test_only_transform_names_the_kernel_layout():
         assert not named & layout, f"{path.name} names {sorted(named & layout)}"
         checked.append(path.name)
     assert "compression.py" in checked
+
+
+def test_only_formats_holds_the_file_text():
+    # the magic lines and the QKERNEL 1 reader's helpers are formats.py's own: the
+    # other modules build their values from the parts its readers return
+    magics = {"QKERNEL 1", "QCODEBOOK 1", "QSEL 1"}
+    helpers = {"_lines", "_plain_head", "_uniform_rows", "_token_edges"}
+    checked = []
+    for path in sorted(Path(qimg.__file__).parent.glob("*.py")):
+        if path.name == "formats.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {v for node in ast.walk(tree) for _, v in ast.iter_fields(node) if isinstance(v, str)}
+        # a magic line inside a longer string (an f-string, a docstring) counts too
+        lines = {ln.strip() for v in named for ln in v.splitlines()}
+        assert not named & helpers, f"{path.name} names {sorted(named & helpers)}"
+        assert not lines & magics, f"{path.name} holds {sorted(lines & magics)}"
+        checked.append(path.name)
+    assert {"transform.py", "compression.py", "morphology.py"} <= set(checked)
 
 
 def _name(node):
