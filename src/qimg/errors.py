@@ -29,7 +29,7 @@ def _names_file(reader):
     def wrapper(path, *args, **kwargs):
         try:
             return reader(path, *args, **kwargs)
-        except ValueError as exc:  # ParseError, DomainError, ShapeError and UnicodeDecodeError
+        except ValueError as exc:  # ParseError, DomainError and ShapeError
             err = ParseError(f"{path}: {exc}")
             err.offset = getattr(exc, "offset", None)  # a byte offset is in the message already
             raise err from None

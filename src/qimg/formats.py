@@ -19,6 +19,14 @@ names the builder instead, read as custom too: no builder made their body.
 
 QSEL 1 holds a structuring element as one ``dy dx value`` line per offset.
 
+Each file opens with its head: the magic line, then the size or parameter
+line (QSEL 1 has none), with blank and ``#`` comment lines among them.  The
+readers split lines as ``str.splitlines`` and strip them as ``str.strip``,
+on ASCII text.  The head is read and checked from the bytes before any byte
+of the body is decoded, so a head fault comes first, whatever the body
+holds; a custom codebook's ``# builder`` comment belongs to the head.  A
+non-ASCII byte is a fault at its offset in the file.
+
 The readers take a file's bytes and return checked parts: a family, index
 sets and kernel entries; a builder's parameters; or offsets and weights.
 The writers take such parts.  Building a kernel, codebook or structuring
@@ -26,6 +34,8 @@ element from them is left to the modules that define those.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -45,15 +55,54 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _lines(data: bytes, *magics: str) -> tuple[str, list[str], list[str]]:
-    """The magic line, one of magics, then the data lines and comment texts, stripped; no blanks."""
-    raw = data.decode("ascii").splitlines()
-    magic = raw[0].strip() if raw else ""
+# the line breaks str.splitlines splits ASCII text at, and the start of a line
+# that is neither blank nor a comment once str.strip has stripped it
+_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+_DATA = re.compile(rb"[ \t\x1f]*[^ \t\x1f#\n\r\x0b\x0c\x1c-\x1e]")
+
+
+def _ascii(chunk, at: int) -> str:
+    """chunk, a file's bytes from offset at, as ASCII text; a non-ASCII byte is a ParseError at its offset."""
+    try:
+        return str(chunk, "ascii")
+    except UnicodeDecodeError as exc:
+        byte = chunk[exc.start]
+        raise ParseError(f"'ascii' codec can't decode byte {byte:#04x}", offset=at + exc.start) from None
+
+
+def _line(data: bytes, pos: int) -> tuple[str, int]:
+    """The stripped text of the line at offset pos, and the next line's offset."""
+    brk = _BREAK.search(data, pos)
+    end = brk.start() if brk else len(data)
+    return _ascii(data[pos:end], pos).strip(), brk.end() if brk else end
+
+
+def _head(data: bytes, magics: tuple[str, ...]) -> tuple[str, str | None, list[str], int]:
+    """The magic line, one of magics, the size line, the comment texts before the first row and its offset.
+
+    The size line is the first data line after the magic, and the first row
+    the next one; QSEL 1 has no size line, so its first entry is its first
+    row.  The size line is None where there is none, and the offset len(data)
+    where there is no row.  The first row is not decoded.
+    """
+    magic, pos = _line(data, 0)
     if magic not in magics:
         raise ParseError(f"missing {' or '.join(repr(m) for m in magics)} header")
-    stripped = [ln.strip() for ln in raw[1:]]
+    size, comments = None, []
+    while pos < len(data) and not ((size or magic == SEL_MAGIC) and _DATA.match(data, pos)):
+        text, pos = _line(data, pos)
+        if text.startswith("#"):
+            comments.append(text[1:].strip())
+        elif text:
+            size = text
+    return magic, size, comments, pos
+
+
+def _body(data: bytes, start: int) -> tuple[list[str], list[str]]:
+    """The data lines and comment texts from offset start on, stripped; no blanks."""
+    stripped = [ln.strip() for ln in _ascii(memoryview(data)[start:], start).splitlines()]
     comments = [ln[1:].strip() for ln in stripped if ln.startswith("#")]
-    return magic, [ln for ln in stripped if ln and not ln.startswith("#")], comments
+    return [ln for ln in stripped if ln and not ln.startswith("#")], comments
 
 
 # --- QKERNEL 1 and QCODEBOOK 1 ------------------------------------------------
@@ -93,41 +142,12 @@ def _bad_row(rows: list[str], ny: int) -> str:
 # the bytes a loadtxt float may hold: digits, '.', signs, exponents and the
 # letters of nan, inf and infinity
 _NUMBER_BYTES = b"0.123456789+-eEnaiftyNAIFTY"
-# the bytes of a line before the first row: on these, splitting at newlines and
-# stripping the bytes read the line as _lines does
-_HEAD_BYTES = bytes(range(32, 127)) + b"\t"
 # how far from a token's first byte above '0' the pass looks for its separators,
 # and for how many tokens at a time
 _REACH = 32
 _EDGE_CHUNK = 1 << 10
 # the uniform-rows pass reads blocks of whole rows of about _ROWS_BLOCK bytes
 _ROWS_BLOCK = 1 << 18
-
-
-def _plain_head(data: bytes):
-    """The size line, comment texts and first row's offset of a QKERNEL 1 file; None unless plain.
-
-    Plain: the bytes open with the magic line, and every line before the first
-    row holds only printable ASCII and tabs.
-    """
-    pos = len(KERNEL_MAGIC) + 1
-    if data[:pos] != KERNEL_MAGIC.encode() + b"\n":
-        return None
-    size, comments = None, []
-    while pos < len(data):
-        end = data.find(b"\n", pos)
-        line = data[pos:end if end >= 0 else len(data)]
-        text = line.strip()
-        if size is not None and text and not text.startswith(b"#"):
-            return size, comments, pos
-        if line.translate(None, _HEAD_BYTES):
-            return None
-        if text.startswith(b"#"):
-            comments.append(text[1:].strip().decode("ascii"))
-        elif text:
-            size = text.decode("ascii")
-        pos = len(data) if end < 0 else end + 1
-    return None
 
 
 def _token_edges(raw: np.ndarray, firsts: np.ndarray):
@@ -164,7 +184,7 @@ def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
     fails refuses the body before any later block is read, and so does a body
     with no final newline.  The cut tokens go to one loadtxt call, as the dense
     path reads them, so each weight is bit for bit the same.  None sends the
-    file down the str path.
+    body down the dense path.
     """
     first = data[start:start + (1 << 12)].split(b"\n", 1)[0]
     z = next((t for t in first.split(b" ")
@@ -179,7 +199,7 @@ def _uniform_rows(data: bytes, start: int, nx: int, ny: int):
     rows, starts, stops, texts = 0, [], [], []
     pos = start - 1
     while pos < len(data) - 1:
-        # data[pos] is the newline before the block's first row, data[end] the one after its last
+        # data[pos] ends the line before the block's first row, data[end] is the newline after its last
         end = data.find(b"\n", min(pos + _ROWS_BLOCK, len(data) - 1))
         above = np.flatnonzero(raw[pos:end] > 48) + pos
         runs = np.concatenate((above[:1], above[1:][above[1:] - above[:-1] > 1]))  # their first bytes
@@ -258,39 +278,33 @@ def read_qkernel(data: bytes, codebooks: bool = False, grids: bool = False):
     None.  A QCODEBOOK 1 file gives params = (builder, q, m, n, a, b).  A
     QKERNEL 1 file gives the keyword arguments of its Kernel, with entries
     (x, y, w) in ascending (x, y) order; with grids its index sets take the
-    grid shapes of its '# builder' comment, which fails before any row is read.
+    grid shapes of the '# builder' comment in its head.
 
-    A file whose head is plain is first offered to _uniform_rows, which
-    reads it in place.  Every other file takes the str path (_lines, then
-    one dense loadtxt), which reports every error: a fault of the head
-    waits for it too, as an error further on (a non-ASCII byte among the
-    rows, say) comes first there.
+    The head, and with it the family, the sizes and the grids, is checked
+    before any row is read.  The body is then offered to _uniform_rows, which
+    reads it in place; a body it refuses takes the dense path (_body, then
+    one loadtxt), which reports every fault of the body.
     """
-    head, entries = _plain_head(data), None
-    if head is not None:
-        size, comments, start = head
-        try:
-            q, domain, codomain = _sizes(size, _grids(comments) if grids else (None, None))
-        except ValueError:
-            pass
-        else:
-            entries = _uniform_rows(data, start, domain.size, codomain.size)
+    magic, size, comments, start = _head(data, (CODEBOOK_MAGIC, KERNEL_MAGIC) if codebooks else (KERNEL_MAGIC,))
+    if magic == CODEBOOK_MAGIC:
+        if size is None:
+            raise ParseError("expected one parameter line, found 0 data lines")
+        parts = size.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected '<family> <builder> <m> <n> <a> <b>', got {size!r}")
+        name, m, n, a, b = _params(parts[1:], BUILDERS)
+        q = quantale(parts[0])
+        if start < len(data):
+            raise ParseError(f"expected one parameter line, found {1 + len(_body(data, start)[0])} data lines")
+        return (name, q, m, n, a, b), None, comments
+    shapes = _grids(comments) if grids else (None, None)
+    if size is None:
+        raise ParseError("missing size header line")
+    q, domain, codomain = _sizes(size, shapes)
+    entries = _uniform_rows(data, start, domain.size, codomain.size)
     if entries is None:
-        magics = (CODEBOOK_MAGIC, KERNEL_MAGIC) if codebooks else (KERNEL_MAGIC,)
-        magic, lines, comments = _lines(data, *magics)
-        if magic == CODEBOOK_MAGIC:
-            if len(lines) != 1:
-                raise ParseError(f"expected one parameter line, found {len(lines)} data lines")
-            parts = lines[0].split()
-            if len(parts) != 6:
-                raise ParseError(f"expected '<family> <builder> <m> <n> <a> <b>', got {lines[0]!r}")
-            name, m, n, a, b = _params(parts[1:], BUILDERS)
-            return (name, quantale(parts[0]), m, n, a, b), None, comments
-        shapes = _grids(comments) if grids else (None, None)
-        if not lines:
-            raise ParseError("missing size header line")
-        q, domain, codomain = _sizes(lines[0], shapes)
-        rows = lines[1:]
+        rows, more = _body(data, start)
+        comments = comments + more
         if len(rows) != domain.size:
             raise ParseError(f"expected {domain.size} data rows, found {len(rows)}")
         # rows is non-empty here, so loadtxt never sees (and warns on) an empty body
@@ -314,7 +328,7 @@ def write_qsel(path, items) -> None:
 
 def read_qsel(data: bytes) -> dict:
     """The weights by (dy, dx) offset of a QSEL 1 file's bytes."""
-    _, lines, _ = _lines(data, SEL_MAGIC)
+    lines = _body(data, _head(data, (SEL_MAGIC,))[3])[0]
     entries = {}
     for i, ln in enumerate(lines):
         parts = ln.split()

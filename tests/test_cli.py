@@ -305,6 +305,8 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
     [
         "QKERNEL 1\ngoedel 4 1\n# builder foo 2 2 1 1\n" + "0.5\n" * 4,
         "QKERNEL 1\ngoedel 4 4\n# builder block 4 1 2 2\n" + "0.5 0.5 0.5 0.5\n" * 4,
+        # the builder comment belongs to the head, before the first row
+        "QKERNEL 1\ngoedel 4 4\n0.5 0.5 0.5 0.5\n# builder custom 2 2 2 2\n" + "0.5 0.5 0.5 0.5\n" * 3,
         "QCODEBOOK 1\ngoedel foo 16 16 4 4\n",
         "QCODEBOOK 1\ngoedel custom 16 16 4 4\n",
         "QCODEBOOK 1\nfrankian triangular 16 16 4 4\n",
@@ -324,8 +326,8 @@ def test_nan_kernel_entry_is_a_parse_error_naming_the_file(tmp_path, capsys):
         "QCODEBOOK 1\nproduct block 1000000000000000 2 2 2\n",
         "QSEL 1\n0 0 1.0\n",
     ],
-    ids=["unknown-builder", "codes-exceed-image", "params-unknown-builder", "params-custom",
-         "params-unknown-family", "params-boolean", "params-non-integer-size",
+    ids=["unknown-builder", "codes-exceed-image", "builder-comment-after-rows", "params-unknown-builder",
+         "params-custom", "params-unknown-family", "params-boolean", "params-non-integer-size",
          "params-codes-exceed-image", "params-trailing-line", "params-missing-line",
          "params-missing-value", "params-unallocatable-triangular",
          "params-unallocatable-block", "params-past-index-range-triangular",

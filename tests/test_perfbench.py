@@ -105,15 +105,15 @@ def test_one_cli_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
 
 def test_the_cli_chain_file_is_read_in_place(monkeypatch, tmp_path):
     # the cli workload's chain kernel, written by the benchmark's own writer, takes
-    # the uniform-rows pass: a change that loses that fast path reaches the str
-    # path's line split, which raises here
+    # the uniform-rows pass: a change that loses that fast path reaches the dense
+    # path's body split, which raises here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from inputs import chain_kernel_rows, write_qkernel
 
-    def str_path(*args):
-        raise AssertionError("the chain file took the str path")
+    def dense_path(*args):
+        raise AssertionError("the chain file took the dense path")
 
     path = tmp_path / "chain.qk"
     write_qkernel(path, "goedel", chain_kernel_rows(1100))
-    monkeypatch.setattr(qimg.formats, "_lines", str_path)
+    monkeypatch.setattr(qimg.formats, "_body", dense_path)
     assert qimg.classify(qimg.load_kernel(path)).level is qimg.KernelLevel.NORMAL

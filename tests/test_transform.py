@@ -34,7 +34,9 @@ from qimg import (
     join_elems,
     kernel_of,
     load_kernel,
+    read_codebook,
     read_kernel,
+    read_sel,
     scalar_mul,
     scalar_residuum,
     write_kernel,
@@ -512,6 +514,22 @@ def test_write_kernel_refuses_a_comment_that_would_not_read_back(tmp_path, comme
     assert path.read_bytes() == b"kept"
 
 
+def test_every_ascii_comment_is_refused_or_read_back(tmp_path):
+    # the writer refuses a comment exactly where the head reader would break
+    # its line, so every comment it writes reads back unchanged
+    path, refused = tmp_path / "k.qk", []
+    for c in map(chr, range(128)):
+        path.write_bytes(b"kept")
+        try:
+            write_kernel(path, identity_kernel(GOEDEL, IndexSet(2)), comments=[f"a{c}b"])
+        except ValueError:
+            assert path.read_bytes() == b"kept"
+            refused.append(c)
+            continue
+        assert read_kernel(path)[1] == [f"a{c}b"]
+    assert refused == ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e"]
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -544,8 +562,74 @@ def test_kernel_file_rejects_malformed(tmp_path, text, fragment):
     assert str(err.value).count(str(path)) == 1
 
 
+# a body that fails both readers, after each head but one: with no size line, it would be that line
+_B = "zebra\u00e9 0.5\n" * 4
+
+
+@pytest.mark.parametrize("read, text, fragment", [
+    (read_kernel, "QKERNEL 2\ngoedel 1 1\n" + _B, "missing 'QKERNEL 1' header"),
+    (read_codebook, "QCODEBOOK 2\ngoedel block 16 16 4 4\n" + _B,
+     "missing 'QCODEBOOK 1' or 'QKERNEL 1' header"),
+    (read_sel, "QSEL 2\n" + _B, "missing 'QSEL 1' header"),
+    (read_kernel, "QKERNEL 1\nfrank 1 1\n" + _B, "unknown quantale family 'frank'"),
+    (read_kernel, "QKERNEL 1\ngoedel 1 x\n" + _B, "sizes must be integers, got 'goedel 1 x'"),
+    (read_kernel, "QKERNEL 1\ngoedel 0 1\n" + _B, "index set must be non-empty"),
+    (read_kernel, "QKERNEL 1\ngoedel 4 -2\n" + _B, "index set must be non-empty"),
+    (read_kernel, "QKERNEL 1\ngoedel 2\n" + _B, "expected '<family> <|X|> <|Y|>', got 'goedel 2'"),
+    (read_kernel, "QKERNEL 1\n# no size line\n", "missing size header line"),
+    (read_codebook, "QKERNEL 1\ngoedel 4 4\n# builder custom 2 3 2 2\n" + _B,
+     "shape (2, 3) does not cover size 4"),
+    (read_codebook, "QKERNEL 1\ngoedel 4 4\n" + _B,
+     "no '# builder <name> <m> <n> <a> <b>' comment line"),
+    (read_codebook, "QCODEBOOK 1\ngoedel foo 16 16 4 4\n" + _B, "unknown builder 'foo'"),
+    (read_codebook, "QCODEBOOK 1\ngoedel block 16 16 4\n" + _B,
+     "expected '<family> <builder> <m> <n> <a> <b>'"),
+    (read_codebook, "QCODEBOOK 1\ngoedel block 16 16.0 4 4\n" + _B, "malformed builder parameters"),
+    (read_codebook, "QCODEBOOK 1\nfrankian block 16 16 4 4\n" + _B, "unknown quantale family 'frankian'"),
+    (read_kernel, "QKERNEL 1\n# caf\u00e9\ngoedel 4 2\n" + _B, "'ascii' codec can't decode byte 0xc3"),
+    (read_codebook, "QKERNEL 1\ngoedel 4 2\n# builder custom 2 2 2 1 \u00e9\n" + _B,
+     "'ascii' codec can't decode"),
+    (read_sel, "QSEL 1\u00e9\n" + _B, "'ascii' codec can't decode"),
+], ids=["magic-qkernel", "magic-qcodebook", "magic-qsel", "family", "non-integer-size",
+        "zero-size", "negative-size", "short-size-line", "missing-size-line", "grid-does-not-cover",
+        "missing-builder-comment", "params-unknown-builder", "params-short-line",
+        "params-non-integer", "params-unknown-family", "non-ascii-comment",
+        "non-ascii-builder-comment", "non-ascii-magic"])
+def test_head_faults_fail_before_the_body(tmp_path, read, text, fragment):
+    path = tmp_path / "head.txt"
+    path.write_bytes(text.encode("utf-8"))
+    body = AssertionError("the body was read")
+    with mock.patch.object(formats, "_body", side_effect=body), \
+            mock.patch.object(formats, "_uniform_rows", side_effect=body):
+        with pytest.raises(ParseError) as err:
+            read(path)
+    assert fragment in str(err.value)
+    # unpatched, the head fault still comes before the body's
+    with pytest.raises(ParseError) as unpatched:
+        read(path)
+    assert (str(unpatched.value), unpatched.value.offset) == (str(err.value), err.value.offset)
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_kernel, "QKERNEL 1\n# caf\u00e9\ngoedel 1 1\n0.5\n"),
+    (read_kernel, "QKERNEL 1\r\ngoedel 1 1\r\n\u00e90.5\r\n"),
+    (read_kernel, "QKERNEL 1\ngoedel 3 2\n0 0\n0 0.5\n0.5\u00e9 0\n"),
+    (read_codebook, "QCODEBOOK 1\ngoedel block 16 16 4 4\n# \u00e9\n"),
+    (read_sel, "QSEL 1\n0 0 1.0\n0 1 0.5\u00e9\n"),
+], ids=["kernel-head", "kernel-first-row", "kernel-body", "codebook-comment", "sel-body"])
+def test_a_non_ascii_byte_is_reported_at_its_offset_in_the_file(tmp_path, read, text):
+    path = tmp_path / "bad.txt"
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        read(path)
+    at = data.index(b"\xc3")
+    assert err.value.offset == at
+    assert str(err.value) == f"{path}: 'ascii' codec can't decode byte 0xc3 (byte {at})"
+
+
 # the dense-path reference: with the uniform-rows pass turned down, read_kernel
-# takes the str path, which converts every token with one loadtxt and builds
+# takes the dense path, which converts every token with one loadtxt and builds
 # the kernel from the matrix's nonzeros
 def _read_dense(path):
     with mock.patch.object(formats, "_uniform_rows", lambda data, start, nx, ny: None):
@@ -566,7 +650,7 @@ _ZERO_SPELLINGS = ["0", "0.0", ".0", "0.", "00"]
 _NONZERO_TOKENS = ["-0", "1.0", "0.25", "1e-320"]
 # the last four hold only number bytes, and loadtxt rejects them
 _BAD_TOKENS = ["nan", ".", "..", "0.0.0", "#", "1.2.3", "e5", "+-1", "1e"]
-# whole-file variants that the str path reads
+# whole-file variants that the dense path reads
 _LAYOUTS = ["comment-head", "comment-rows", "blank", "spaces-line", "crlf", "trailing",
             "no-newline", "non-ascii"]
 
@@ -692,21 +776,21 @@ def test_uniform_rows_read_every_zero_spelling(tmp_path, z):
     path.write_text("QKERNEL 1\nproduct 4 12\n" + "".join(" ".join(r) + "\n" for r in rows),
                     encoding="ascii")
     data = path.read_bytes()
-    x, y, w = formats._uniform_rows(data, formats._plain_head(data)[2], 4, 12)
+    x, y, w = formats._uniform_rows(data, formats._head(data, (formats.KERNEL_MAGIC,))[3], 4, 12)
     assert (x.tolist(), y.tolist(), w.tolist()) == ([0, 1, 3, 3], [0, 11, 0, 1], [0.5, 1e-3, 1.0, 0.505])
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
-class _StrPath(Exception):
-    """Raised where the str path would split the file into lines."""
+class _DensePath(Exception):
+    """Raised where the dense path would decode the body and split it into lines."""
 
 
 def _scanned(path) -> bool:
-    """Whether the uniform-rows pass, not the str path, reads the file, in place."""
-    with mock.patch.object(formats, "_lines", side_effect=_StrPath):
+    """Whether the uniform-rows pass, not the dense path, reads the file, in place."""
+    with mock.patch.object(formats, "_body", side_effect=_DensePath):
         try:
             read_kernel(path)
-        except _StrPath:
+        except _DensePath:
             return False
     return True
 
@@ -716,19 +800,28 @@ _ROW1, _ROW0 = "0 0 0 0 0 0 0 0.5", "0 0 0 0 0 0 0 0"
 
 @pytest.mark.parametrize("text, in_place", [
     (f"QKERNEL 1\n# a\n\ngoedel 2 8\n  # b\n \t\n{_ROW1}\n{_ROW0}\n", True),
+    # the head's lines break as str.splitlines breaks them; only the rows must end in LF
+    (f"QKERNEL 1\r\n# a\x0cgoedel 2 8\r{_ROW1}\n{_ROW0}\n", True),
     (f"QKERNEL 1\ngoedel 2 8\n\t{_ROW0} \n{_ROW1}", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n# among the rows\n{_ROW0}\n", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n\n{_ROW0}\n", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n \t\n", False),
     (f"QKERNEL 1\r\ngoedel 2 8\r\n{_ROW1}\r\n{_ROW0}\r\n", False),
     (f"QKERNEL 1\ngoedel 2 8\n{_ROW1}\r\n{_ROW0}\r\n", False),
-    (f"QKERNEL 1\n# caf\u00e9\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n", False),
-], ids=["head-comments-and-blanks", "loose-rows-no-final-newline", "comment-among-rows",
-        "blank-among-rows", "spaces-line-after-rows", "crlf", "crlf-rows", "non-ascii-comment"])
+    # a fault of the head, raised before the body is offered to either reader
+    (f"QKERNEL 1\n# caf\u00e9\ngoedel 2 8\n{_ROW1}\n{_ROW0}\n", ParseError),
+], ids=["head-comments-and-blanks", "head-of-other-breaks", "loose-rows-no-final-newline",
+        "comment-among-rows", "blank-among-rows", "spaces-line-after-rows", "crlf", "crlf-rows",
+        "non-ascii-comment"])
 def test_the_byte_scan_reads_only_plain_files_in_place(tmp_path, text, in_place):
     path = tmp_path / "k.qk"
     path.write_bytes(text.encode("utf-8"))
-    assert _scanned(path) is in_place
+    if in_place is ParseError:
+        with pytest.raises(ParseError, match="'ascii' codec can't decode byte 0xc3") as err:
+            _scanned(path)
+        assert err.value.offset == len("QKERNEL 1\n# caf")
+    else:
+        assert _scanned(path) is in_place
     assert _kernel_outcome(read_kernel, path) == _kernel_outcome(_read_dense, path)
 
 
@@ -815,7 +908,7 @@ def test_scanning_the_chain_body_never_builds_the_dense_matrix(tmp_path):
     path = tmp_path / "chain.qk"
     write_kernel(path, chain_kernel(GOEDEL, n))
     data = path.read_bytes()
-    with mock.patch.object(formats, "_lines", side_effect=_StrPath):  # in place, or it raises
+    with mock.patch.object(formats, "_body", side_effect=_DensePath):  # in place, or it raises
         tracemalloc.start()
         try:
             p = Kernel(**formats.read_qkernel(data)[1])
@@ -862,7 +955,7 @@ def test_only_formats_holds_the_file_text():
     # the magic lines and the QKERNEL 1 reader's helpers are formats.py's own: the
     # other modules build their values from the parts its readers return
     magics = {"QKERNEL 1", "QCODEBOOK 1", "QSEL 1"}
-    helpers = {"_lines", "_plain_head", "_uniform_rows", "_token_edges"}
+    helpers = {"_head", "_body", "_uniform_rows", "_token_edges"}
     checked = []
     for path in sorted(Path(qimg.__file__).parent.glob("*.py")):
         if path.name == "formats.py":
